@@ -27,8 +27,8 @@ fn observe(engine: &Engine<'_>) -> (Vec<String>, Vec<String>, String) {
         .map(|(fvp, list)| format!("{} = {}", fvp.display(symbols), list))
         .collect();
     rows.sort();
-    let state = serde_json::to_string(&engine.checkpoint().to_value())
-        .expect("checkpoint state serializes");
+    let mut state = String::new();
+    engine.checkpoint().write_state(&mut state);
     (rows, out.warnings.clone(), state)
 }
 

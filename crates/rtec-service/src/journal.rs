@@ -51,8 +51,8 @@
 
 use crate::fault;
 use crate::persist;
+use rtec::json::{fnv1a64, push_i64, push_quoted, push_seq, push_u64};
 use serde_json::Value;
-use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -149,41 +149,44 @@ impl JournalRecord {
         }
     }
 
+    /// The record's JSON payload, written directly with keys in
+    /// alphabetical order — the bytes the generic `serde_json` renderer
+    /// produces for the same object.
     fn to_payload(&self) -> Vec<u8> {
-        let mut map = BTreeMap::new();
+        let mut out = String::new();
         match self {
             JournalRecord::Open { seq, request } => {
-                map.insert("k".to_string(), Value::from("o"));
-                map.insert("s".to_string(), Value::from(*seq as i64));
-                map.insert("req".to_string(), request.clone());
+                out.push_str("{\"k\":\"o\",\"req\":");
+                out.push_str(&serde_json::to_string(request).unwrap_or_default());
+                out.push_str(",\"s\":");
+                push_i64(&mut out, *seq as i64);
+                out.push('}');
             }
-            JournalRecord::Event { seq, t, event } => {
-                return event_payload(*seq, *t, event).into_bytes();
-            }
+            JournalRecord::Event { seq, t, event } => event_payload_into(*seq, *t, event, &mut out),
             JournalRecord::Intervals {
                 seq,
                 fluent,
                 value,
                 pairs,
             } => {
-                map.insert("k".to_string(), Value::from("v"));
-                map.insert("s".to_string(), Value::from(*seq as i64));
-                map.insert("f".to_string(), Value::from(fluent.as_str()));
-                map.insert("v".to_string(), Value::from(value.as_str()));
-                map.insert(
-                    "iv".to_string(),
-                    Value::Array(
-                        pairs
-                            .iter()
-                            .map(|&(a, b)| Value::Array(vec![Value::from(a), Value::from(b)]))
-                            .collect(),
-                    ),
-                );
+                out.push_str("{\"f\":");
+                push_quoted(&mut out, fluent);
+                out.push_str(",\"iv\":");
+                push_seq(&mut out, pairs, |out, &(a, b)| {
+                    out.push('[');
+                    push_i64(out, a);
+                    out.push(',');
+                    push_i64(out, b);
+                    out.push(']');
+                });
+                out.push_str(",\"k\":\"v\",\"s\":");
+                push_i64(&mut out, *seq as i64);
+                out.push_str(",\"v\":");
+                push_quoted(&mut out, value);
+                out.push('}');
             }
         }
-        serde_json::to_string(&Value::Object(map))
-            .map(String::into_bytes)
-            .unwrap_or_default()
+        out.into_bytes()
     }
 
     fn from_payload(bytes: &[u8]) -> Result<JournalRecord, String> {
@@ -247,89 +250,18 @@ impl JournalRecord {
     }
 }
 
-/// JSON string escaping byte-identical to the serializer's, so the
-/// hand-written event payload and the generic one round-trip the same.
-/// Ordinary event terms (`up(a)`, `entersArea(v1, p)`) need no escapes
-/// at all, so that case is a single copy.
-fn escape_into(s: &str, out: &mut String) {
-    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
-        out.push('"');
-        out.push_str(s);
-        out.push('"');
-        return;
-    }
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// The event-record payload, written by hand into `out`: events are
-/// the journal's hot path (one per acked ingest), and going through a
-/// `Value` tree costs an order of magnitude more than the recognition
-/// work the record describes. Key order matches the generic
-/// serializer's (alphabetical), so both paths produce identical bytes.
+/// The event-record payload, written straight into `out`: events are
+/// the journal's hot path (one per acked ingest), so the staging buffer
+/// is reused and nothing is allocated per record.
 fn event_payload_into(seq: u64, t: i64, event: &str, out: &mut String) {
     out.reserve(48 + event.len());
     out.push_str("{\"ev\":");
-    escape_into(event, out);
+    push_quoted(out, event);
     out.push_str(",\"k\":\"e\",\"s\":");
     push_u64(out, seq);
     out.push_str(",\"t\":");
-    if t < 0 {
-        out.push('-');
-        push_u64(out, t.unsigned_abs());
-    } else {
-        push_u64(out, t as u64);
-    }
+    push_i64(out, t);
     out.push('}');
-}
-
-/// Decimal formatting without the `fmt` machinery (measurable on the
-/// per-ack path).
-fn push_u64(out: &mut String, mut n: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
-}
-
-fn event_payload(seq: u64, t: i64, event: &str) -> String {
-    let mut out = String::new();
-    event_payload_into(seq, t, event, &mut out);
-    out
-}
-
-/// FNV-1a 64-bit, the same hash family as checkpoint checksums but kept
-/// as a raw integer for the fixed-width frame header.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn encode_frame(out: &mut Vec<u8>, payload: &[u8]) {
@@ -705,16 +637,74 @@ mod tests {
         // Malformed ingests are journaled verbatim (dead-letter replay),
         // so the hot-path encoder must survive hostile term sources.
         let nasty = "up(\"a\\b\")\n\t\u{01}end";
-        let payload = event_payload(7, -3, nasty);
-        let decoded = JournalRecord::from_payload(payload.as_bytes()).unwrap();
-        assert_eq!(
-            decoded,
-            JournalRecord::Event {
-                seq: 7,
-                t: -3,
-                event: nasty.to_string()
-            }
-        );
+        let record = JournalRecord::Event {
+            seq: 7,
+            t: -3,
+            event: nasty.to_string(),
+        };
+        let decoded = JournalRecord::from_payload(&record.to_payload()).unwrap();
+        assert_eq!(decoded, record);
+    }
+
+    #[test]
+    fn direct_payloads_match_the_generic_serializer() {
+        let nasty = "near(\"a\\b\")\n\u{01}é";
+        let obj = |pairs: Vec<(&str, Value)>| {
+            let map = pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+            serde_json::to_string(&Value::Object(map)).unwrap()
+        };
+        let request: Value =
+            serde_json::from_str(r#"{"cmd":"open","session":"s","window":10,"x":1.5}"#).unwrap();
+        let cases = [
+            (
+                JournalRecord::Open {
+                    seq: 1,
+                    request: request.clone(),
+                },
+                obj(vec![
+                    ("k", "o".into()),
+                    ("s", 1i64.into()),
+                    ("req", request),
+                ]),
+            ),
+            (
+                JournalRecord::Event {
+                    seq: 2,
+                    t: -5,
+                    event: nasty.to_string(),
+                },
+                obj(vec![
+                    ("k", "e".into()),
+                    ("s", 2i64.into()),
+                    ("t", (-5i64).into()),
+                    ("ev", nasty.into()),
+                ]),
+            ),
+            (
+                JournalRecord::Intervals {
+                    seq: 3,
+                    fluent: nasty.to_string(),
+                    value: "true".to_string(),
+                    pairs: vec![(-1, 4), (9, 12)],
+                },
+                obj(vec![
+                    ("k", "v".into()),
+                    ("s", 3i64.into()),
+                    ("f", nasty.into()),
+                    ("v", "true".into()),
+                    (
+                        "iv",
+                        Value::Array(vec![
+                            Value::Array(vec![(-1i64).into(), 4i64.into()]),
+                            Value::Array(vec![9i64.into(), 12i64.into()]),
+                        ]),
+                    ),
+                ]),
+            ),
+        ];
+        for (record, generic) in cases {
+            assert_eq!(String::from_utf8(record.to_payload()).unwrap(), generic);
+        }
     }
 
     #[test]

@@ -9,21 +9,29 @@
 //! entity→shard assignment, one [`EngineCheckpoint`] per shard, and the
 //! session counters.
 //!
-//! The on-disk document carries the same `{"version", "crc", "state"}`
-//! envelope as engine checkpoints: a torn or truncated write fails the
-//! checksum on load instead of restoring corrupt state. Writes go to a
-//! temp file first and are renamed into place, so the previous
-//! checkpoint survives any failure before the rename — including the
-//! injected I/O faults from [`crate::fault`].
+//! The on-disk document carries the same envelope as engine checkpoints
+//! without `eval_mode` — `{"crc":…,"state":…,"version":1}`, compact,
+//! keys in that order ([`rtec::checkpoint::write_envelope`]) — with
+//! `crc` over the stored `state` bytes: a torn, truncated or re-formatted
+//! document fails on load instead of restoring corrupt state. The state
+//! is written in one pass into one buffer (shard states through
+//! [`EngineCheckpoint::write_state`]) and read back with a strict
+//! [`Cursor`] that still accepts the keys older writers left out
+//! (pre-sliding, pre-ingest, pre-journal, pre-eval, pre-profile
+//! documents). Writes go to a temp file first and are renamed into
+//! place, so the previous checkpoint survives any failure before the
+//! rename — including the injected I/O faults from [`crate::fault`].
 
 use crate::fault;
 use crate::router::RouterSnapshot;
 use crate::session::{Session, SessionConfig, SessionStats};
-use rtec::checkpoint::{decode_term, encode_term, fnv1a_hex, EngineCheckpoint, CHECKPOINT_VERSION};
+use rtec::checkpoint::{
+    read_engine_stats, read_envelope, read_event, read_term, write_engine_stats, write_envelope,
+    write_event, write_term, EngineCheckpoint,
+};
+use rtec::engine::EvalMode;
+use rtec::json::{push_counter, push_i64, push_quoted, push_seq, Cursor};
 use rtec::reorder::{DeadLetterReason, ReorderSnapshot};
-use rtec::Timepoint;
-use serde_json::Value;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// A persistable image of a whole session at a tick boundary.
@@ -112,403 +120,206 @@ impl SessionCheckpoint {
     /// Serializes to the versioned, checksummed document. Deterministic:
     /// the same session state yields byte-identical documents.
     pub fn to_json(&self) -> String {
-        let state = self.to_value();
-        let payload = serde_json::to_string(&state).unwrap_or_else(|_| "{}".into());
-        let mut doc = BTreeMap::new();
-        doc.insert("version".to_string(), Value::from(CHECKPOINT_VERSION));
-        doc.insert(
-            "crc".to_string(),
-            Value::from(fnv1a_hex(payload.as_bytes())),
-        );
-        doc.insert("state".to_string(), state);
-        serde_json::to_string(&Value::Object(doc)).unwrap_or_else(|_| "{}".into())
+        let mut out = String::new();
+        write_envelope(&mut out, None, |out| self.write_state(out));
+        out
     }
 
-    /// Parses and verifies a document (version, then checksum).
+    /// Parses and verifies a document (layout, version, then checksum).
     pub fn from_json(text: &str) -> Result<SessionCheckpoint, String> {
-        let doc: Value = serde_json::from_str(text)
-            .map_err(|e| format!("session checkpoint: malformed JSON: {e}"))?;
-        let version = doc
-            .get("version")
-            .and_then(Value::as_i64)
-            .ok_or("session checkpoint: missing \"version\"")?;
-        if version != CHECKPOINT_VERSION {
-            return Err(format!(
-                "session checkpoint: unsupported version {version} (expected {CHECKPOINT_VERSION})"
-            ));
+        let (eval_mode, mut c) = read_envelope(text, "session checkpoint")?;
+        if eval_mode.is_some() {
+            return Err("session checkpoint: unexpected \"eval_mode\"".to_string());
         }
-        let crc = doc
-            .get("crc")
-            .and_then(Value::as_str)
-            .ok_or("session checkpoint: missing \"crc\"")?;
-        let state = doc
-            .get("state")
-            .ok_or("session checkpoint: missing \"state\"")?;
-        let payload =
-            serde_json::to_string(state).map_err(|e| format!("session checkpoint: {e}"))?;
-        let actual = fnv1a_hex(payload.as_bytes());
-        if actual != crc {
-            return Err(format!(
-                "session checkpoint: checksum mismatch (stored {crc}, computed {actual}) — \
-                 torn write?"
-            ));
-        }
-        SessionCheckpoint::from_value(state)
+        let checkpoint = SessionCheckpoint::read_state(&mut c)?;
+        c.end()?;
+        Ok(checkpoint)
     }
 
-    fn to_value(&self) -> Value {
-        let mut state = BTreeMap::new();
-        state.insert("name".to_string(), Value::from(self.name.as_str()));
-        state.insert(
-            "description".to_string(),
-            Value::from(self.description_src.as_str()),
-        );
-        let mut config = BTreeMap::new();
-        config.insert(
-            "window".to_string(),
-            match self.config.window {
-                Some(w) => Value::from(w),
-                None => Value::Null,
-            },
-        );
-        config.insert(
-            "slide".to_string(),
-            match self.config.slide {
-                Some(s) => Value::from(s),
-                None => Value::Null,
-            },
-        );
-        config.insert(
-            "incremental".to_string(),
-            Value::Bool(self.config.incremental),
-        );
-        config.insert("shards".to_string(), counter(self.config.shards));
-        config.insert(
-            "queue_capacity".to_string(),
-            counter(self.config.queue_capacity),
-        );
-        config.insert(
-            "max_worker_restarts".to_string(),
-            counter(self.config.max_worker_restarts),
-        );
-        config.insert(
-            "reorder_slack".to_string(),
-            match self.config.reorder_slack {
-                Some(s) => Value::from(s),
-                None => Value::Null,
-            },
-        );
-        config.insert("dedup".to_string(), Value::Bool(self.config.dedup));
-        config.insert(
-            "max_events_per_tick".to_string(),
-            opt_counter_u64(self.config.max_events_per_tick),
-        );
-        config.insert(
-            "max_buffered_bytes".to_string(),
-            opt_counter_u64(self.config.max_buffered_bytes),
-        );
-        config.insert(
-            "tick_deadline_ms".to_string(),
-            opt_counter_u64(self.config.tick_deadline_ms),
-        );
-        config.insert("eval".to_string(), Value::from(self.config.eval.as_str()));
-        config.insert("profile".to_string(), Value::Bool(self.config.profile));
-        config.insert(
-            "slow_tick_ms".to_string(),
-            opt_counter_u64(self.config.slow_tick_ms),
-        );
-        state.insert("config".to_string(), Value::Object(config));
-        state.insert(
-            "master_symbols".to_string(),
-            Value::Array(
-                self.master_symbols
-                    .iter()
-                    .map(|s| Value::from(s.as_str()))
-                    .collect(),
-            ),
-        );
-        let mut router = BTreeMap::new();
-        router.insert("n_shards".to_string(), counter(self.router.n_shards));
-        router.insert(
-            "entities".to_string(),
-            Value::Array(self.router.entities.iter().map(encode_term).collect()),
-        );
-        router.insert(
-            "parent".to_string(),
-            Value::Array(self.router.parent.iter().map(|&p| counter(p)).collect()),
-        );
-        router.insert(
-            "shard_of_root".to_string(),
-            Value::Array(
-                self.router
-                    .shard_of_root
-                    .iter()
-                    .map(|&(root, shard)| Value::Array(vec![counter(root), counter(shard)]))
-                    .collect(),
-            ),
-        );
-        router.insert("pinned".to_string(), counter(self.router.pinned));
-        router.insert(
-            "late_couplings".to_string(),
-            counter_u64(self.router.late_couplings),
-        );
-        state.insert("router".to_string(), Value::Object(router));
-        state.insert(
-            "shards".to_string(),
-            Value::Array(self.shards.iter().map(EngineCheckpoint::to_value).collect()),
-        );
-        let mut stats = BTreeMap::new();
-        stats.insert(
-            "events_ingested".to_string(),
-            counter_u64(self.stats.events_ingested),
-        );
-        stats.insert(
-            "intervals_ingested".to_string(),
-            counter_u64(self.stats.intervals_ingested),
-        );
-        stats.insert(
-            "backpressure_waits".to_string(),
-            counter_u64(self.stats.backpressure_waits),
-        );
-        stats.insert("ticks".to_string(), counter_u64(self.stats.ticks));
-        stats.insert(
-            "processed_to".to_string(),
-            Value::from(self.stats.processed_to),
-        );
-        stats.insert(
-            "queue_high_water".to_string(),
-            Value::Array(
-                self.stats
-                    .queue_high_water
-                    .iter()
-                    .map(|&n| counter_u64(n))
-                    .collect(),
-            ),
-        );
-        stats.insert(
-            "worker_restarts".to_string(),
-            counter_u64(self.stats.worker_restarts),
-        );
-        stats.insert(
-            "frames_rejected".to_string(),
-            counter_u64(self.stats.frames_rejected),
-        );
-        let mut engine = BTreeMap::new();
-        engine.insert("windows".to_string(), counter(self.stats.engine.windows));
-        engine.insert(
-            "events_processed".to_string(),
-            counter(self.stats.engine.events_processed),
-        );
-        engine.insert(
-            "events_dropped".to_string(),
-            counter(self.stats.engine.events_dropped),
-        );
-        stats.insert("shed".to_string(), counter_u64(self.stats.shed));
-        stats.insert("engine".to_string(), Value::Object(engine));
-        state.insert("stats".to_string(), Value::Object(stats));
-        let mut ingest = BTreeMap::new();
-        let mut dl = BTreeMap::new();
-        for (reason, &count) in DeadLetterReason::ALL.iter().zip(&self.deadletter_counts) {
-            dl.insert(reason.as_str().to_string(), counter_u64(count));
+    fn write_state(&self, out: &mut String) {
+        let config = &self.config;
+        let opt_counter = |out: &mut String, n: Option<u64>| match n {
+            Some(n) => push_counter(out, n),
+            None => out.push_str("null"),
+        };
+        let opt_i64 = |out: &mut String, n: Option<i64>| match n {
+            Some(n) => push_i64(out, n),
+            None => out.push_str("null"),
+        };
+        let bool = |out: &mut String, b: bool| out.push_str(if b { "true" } else { "false" });
+        out.push_str("{\"config\":{\"dedup\":");
+        bool(out, config.dedup);
+        out.push_str(",\"eval\":");
+        push_quoted(out, config.eval.as_str());
+        out.push_str(",\"incremental\":");
+        bool(out, config.incremental);
+        out.push_str(",\"max_buffered_bytes\":");
+        opt_counter(out, config.max_buffered_bytes);
+        out.push_str(",\"max_events_per_tick\":");
+        opt_counter(out, config.max_events_per_tick);
+        out.push_str(",\"max_worker_restarts\":");
+        push_counter(out, config.max_worker_restarts as u64);
+        out.push_str(",\"profile\":");
+        bool(out, config.profile);
+        out.push_str(",\"queue_capacity\":");
+        push_counter(out, config.queue_capacity as u64);
+        out.push_str(",\"reorder_slack\":");
+        opt_i64(out, config.reorder_slack);
+        out.push_str(",\"shards\":");
+        push_counter(out, config.shards as u64);
+        out.push_str(",\"slide\":");
+        opt_i64(out, config.slide);
+        out.push_str(",\"slow_tick_ms\":");
+        opt_counter(out, config.slow_tick_ms);
+        out.push_str(",\"tick_deadline_ms\":");
+        opt_counter(out, config.tick_deadline_ms);
+        out.push_str(",\"window\":");
+        opt_i64(out, config.window);
+        out.push_str("},\"description\":");
+        push_quoted(out, &self.description_src);
+        out.push_str(",\"ingest\":{\"deadletter\":{");
+        for (k, (i, reason)) in reasons_by_name().into_iter().enumerate() {
+            if k > 0 {
+                out.push(',');
+            }
+            push_quoted(out, reason.as_str());
+            out.push(':');
+            push_counter(out, self.deadletter_counts[i]);
         }
-        ingest.insert("deadletter".to_string(), Value::Object(dl));
-        ingest.insert(
-            "deadletter_records_dropped".to_string(),
-            counter_u64(self.deadletter_records_dropped),
-        );
-        ingest.insert(
-            "reorder".to_string(),
-            match &self.reorder {
-                None => Value::Null,
-                Some(snapshot) => {
-                    let mut map = BTreeMap::new();
-                    map.insert(
-                        "events".to_string(),
-                        Value::Array(
-                            snapshot
-                                .events
-                                .iter()
-                                .map(|(term, t)| {
-                                    Value::Array(vec![encode_term(term), Value::from(*t)])
-                                })
-                                .collect(),
-                        ),
-                    );
-                    map.insert("max_seen".to_string(), Value::from(snapshot.max_seen));
-                    map.insert("released_to".to_string(), Value::from(snapshot.released_to));
-                    Value::Object(map)
-                }
-            },
-        );
-        state.insert("ingest".to_string(), Value::Object(ingest));
-        state.insert("journal_seq".to_string(), counter_u64(self.journal_seq));
-        Value::Object(state)
+        out.push_str("},\"deadletter_records_dropped\":");
+        push_counter(out, self.deadletter_records_dropped);
+        out.push_str(",\"reorder\":");
+        match &self.reorder {
+            None => out.push_str("null"),
+            Some(snapshot) => {
+                out.push_str("{\"events\":");
+                push_seq(out, &snapshot.events, write_event);
+                out.push_str(",\"max_seen\":");
+                push_i64(out, snapshot.max_seen);
+                out.push_str(",\"released_to\":");
+                push_i64(out, snapshot.released_to);
+                out.push('}');
+            }
+        }
+        out.push_str("},\"journal_seq\":");
+        push_counter(out, self.journal_seq);
+        out.push_str(",\"master_symbols\":");
+        push_seq(out, &self.master_symbols, |out, s| push_quoted(out, s));
+        out.push_str(",\"name\":");
+        push_quoted(out, &self.name);
+        let router = &self.router;
+        out.push_str(",\"router\":{\"entities\":");
+        push_seq(out, &router.entities, write_term);
+        out.push_str(",\"late_couplings\":");
+        push_counter(out, router.late_couplings);
+        out.push_str(",\"n_shards\":");
+        push_counter(out, router.n_shards as u64);
+        out.push_str(",\"parent\":");
+        push_seq(out, &router.parent, |out, &p| push_counter(out, p as u64));
+        out.push_str(",\"pinned\":");
+        push_counter(out, router.pinned as u64);
+        out.push_str(",\"shard_of_root\":");
+        push_seq(out, &router.shard_of_root, |out, &(root, shard)| {
+            out.push('[');
+            push_counter(out, root as u64);
+            out.push(',');
+            push_counter(out, shard as u64);
+            out.push(']');
+        });
+        out.push_str("},\"shards\":");
+        push_seq(out, &self.shards, |out, shard| shard.write_state(out));
+        let stats = &self.stats;
+        out.push_str(",\"stats\":{\"backpressure_waits\":");
+        push_counter(out, stats.backpressure_waits);
+        out.push_str(",\"engine\":");
+        write_engine_stats(out, &stats.engine);
+        out.push_str(",\"events_ingested\":");
+        push_counter(out, stats.events_ingested);
+        out.push_str(",\"frames_rejected\":");
+        push_counter(out, stats.frames_rejected);
+        out.push_str(",\"intervals_ingested\":");
+        push_counter(out, stats.intervals_ingested);
+        out.push_str(",\"processed_to\":");
+        push_i64(out, stats.processed_to);
+        out.push_str(",\"queue_high_water\":");
+        push_seq(out, &stats.queue_high_water, |out, &n| push_counter(out, n));
+        out.push_str(",\"shed\":");
+        push_counter(out, stats.shed);
+        out.push_str(",\"ticks\":");
+        push_counter(out, stats.ticks);
+        out.push_str(",\"worker_restarts\":");
+        push_counter(out, stats.worker_restarts);
+        out.push_str("}}");
     }
 
-    fn from_value(state: &Value) -> Result<SessionCheckpoint, String> {
-        let name = str_of(state, "name")?;
-        let description_src = str_of(state, "description")?;
-        let config_v = state
-            .get("config")
-            .ok_or("session checkpoint: missing \"config\"")?;
-        let config = SessionConfig {
-            window: match config_v.get("window") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(v.as_i64().ok_or("session checkpoint: non-integer window")?),
-            },
-            // Lenient on read: checkpoints written before sliding
-            // evaluation lack both keys (tumbling, full recompute).
-            slide: opt_i64_of(config_v, "slide")?,
-            incremental: matches!(config_v.get("incremental"), Some(Value::Bool(true))),
-            shards: usize_of(config_v, "shards")?,
-            queue_capacity: usize_of(config_v, "queue_capacity")?,
-            max_worker_restarts: usize_of(config_v, "max_worker_restarts")?,
-            // Ingest options are lenient on read: checkpoints written
-            // before the resilient-ingestion layer simply lack them.
-            reorder_slack: opt_i64_of(config_v, "reorder_slack")?,
-            dedup: bool_of(config_v, "dedup")?,
-            max_events_per_tick: opt_u64_of(config_v, "max_events_per_tick")?,
-            max_buffered_bytes: opt_u64_of(config_v, "max_buffered_bytes")?,
-            tick_deadline_ms: opt_u64_of(config_v, "tick_deadline_ms")?,
-            // Lenient on read (older checkpoints lack it). Engine state
-            // is mode-agnostic, so restoring under a different mode than
-            // the one that wrote the checkpoint is sound; the recorded
-            // mode wins over the environment when present.
-            eval: match config_v.get("eval") {
-                None | Some(Value::Null) => SessionConfig::default().eval,
-                Some(v) => v
-                    .as_str()
-                    .and_then(rtec::engine::EvalMode::parse)
-                    .ok_or("session checkpoint: bad eval mode")?,
-            },
-            // Lenient on read: checkpoints written before the profiler
-            // restore with it on (the default) — profiler state itself
-            // is process-local and was never in the checkpoint anyway.
-            profile: match config_v.get("profile") {
-                None | Some(Value::Null) => true,
-                Some(b) => b
-                    .as_bool()
-                    .ok_or("session checkpoint: non-boolean \"profile\"")?,
-            },
-            slow_tick_ms: opt_u64_of(config_v, "slow_tick_ms")?,
-        };
-        let master_symbols = str_array(state, "master_symbols")?;
-        let router_v = state
-            .get("router")
-            .ok_or("session checkpoint: missing \"router\"")?;
-        let router = RouterSnapshot {
-            n_shards: usize_of(router_v, "n_shards")?,
-            entities: array_of(router_v, "entities")?
-                .iter()
-                .map(decode_term)
-                .collect::<Result<Vec<_>, String>>()?,
-            parent: array_of(router_v, "parent")?
-                .iter()
-                .map(|v| {
-                    v.as_i64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or_else(|| "session checkpoint: bad parent entry".to_string())
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            shard_of_root: array_of(router_v, "shard_of_root")?
-                .iter()
-                .map(|v| {
-                    let pair = v
-                        .as_array()
-                        .filter(|a| a.len() == 2)
-                        .ok_or("session checkpoint: bad shard_of_root entry")?;
-                    let root = pair[0]
-                        .as_i64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or("session checkpoint: bad shard_of_root root")?;
-                    let shard = pair[1]
-                        .as_i64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or("session checkpoint: bad shard_of_root shard")?;
-                    Ok::<(usize, usize), String>((root, shard))
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            pinned: usize_of(router_v, "pinned")?,
-            late_couplings: u64_of(router_v, "late_couplings")?,
-        };
-        let shards = array_of(state, "shards")?
-            .iter()
-            .map(EngineCheckpoint::from_value)
-            .collect::<Result<Vec<_>, String>>()?;
-        let stats_v = state
-            .get("stats")
-            .ok_or("session checkpoint: missing \"stats\"")?;
-        let engine_v = stats_v
-            .get("engine")
-            .ok_or("session checkpoint: missing \"stats.engine\"")?;
-        let stats = SessionStats {
-            shed: opt_u64_of(stats_v, "shed")?.unwrap_or(0),
-            events_ingested: u64_of(stats_v, "events_ingested")?,
-            intervals_ingested: u64_of(stats_v, "intervals_ingested")?,
-            backpressure_waits: u64_of(stats_v, "backpressure_waits")?,
-            ticks: u64_of(stats_v, "ticks")?,
-            processed_to: stats_v
-                .get("processed_to")
-                .and_then(Value::as_i64)
-                .ok_or("session checkpoint: missing \"processed_to\"")?
-                as Timepoint,
-            tick_latency: Default::default(),
-            queue_high_water: array_of(stats_v, "queue_high_water")?
-                .iter()
-                .map(|v| {
-                    v.as_i64()
-                        .and_then(|n| u64::try_from(n).ok())
-                        .ok_or_else(|| "session checkpoint: bad queue_high_water".to_string())
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            worker_restarts: u64_of(stats_v, "worker_restarts")?,
-            frames_rejected: u64_of(stats_v, "frames_rejected")?,
-            engine: rtec::engine::EngineStats {
-                windows: usize_of(engine_v, "windows")?,
-                events_processed: usize_of(engine_v, "events_processed")?,
-                events_dropped: usize_of(engine_v, "events_dropped")?,
-            },
-        };
+    fn read_state(c: &mut Cursor<'_>) -> Result<SessionCheckpoint, String> {
+        c.expect("{")?;
+        let config = c.field("config", read_config)?;
+        let description_src = c.field("description", Cursor::string)?;
         // The whole ingest section is optional (older checkpoints).
-        let mut deadletter_counts = [0u64; DeadLetterReason::ALL.len()];
-        let mut deadletter_records_dropped = 0u64;
-        let mut reorder = None;
-        if let Some(ingest_v) = state.get("ingest") {
-            if let Some(dl) = ingest_v.get("deadletter") {
-                for (i, reason) in DeadLetterReason::ALL.iter().enumerate() {
-                    deadletter_counts[i] = opt_u64_of(dl, reason.as_str())?.unwrap_or(0);
-                }
-            }
-            deadletter_records_dropped =
-                opt_u64_of(ingest_v, "deadletter_records_dropped")?.unwrap_or(0);
-            if let Some(snap_v) = ingest_v.get("reorder").filter(|v| !v.is_null()) {
-                let events = array_of(snap_v, "events")?
-                    .iter()
-                    .map(|pair| {
-                        let pair = pair
-                            .as_array()
-                            .filter(|p| p.len() == 2)
-                            .ok_or("session checkpoint: bad reorder event entry")?;
-                        let term = decode_term(&pair[0])?;
-                        let t = pair[1]
-                            .as_i64()
-                            .ok_or("session checkpoint: bad reorder event timestamp")?;
-                        Ok::<(rtec::Term, Timepoint), String>((term, t))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                reorder = Some(ReorderSnapshot {
-                    events,
-                    max_seen: snap_v
-                        .get("max_seen")
-                        .and_then(Value::as_i64)
-                        .ok_or("session checkpoint: missing \"max_seen\"")?,
-                    released_to: snap_v
-                        .get("released_to")
-                        .and_then(Value::as_i64)
-                        .ok_or("session checkpoint: missing \"released_to\"")?,
-                });
-            }
-        }
+        let (deadletter_counts, deadletter_records_dropped, reorder) =
+            c.opt_field("ingest", read_ingest)?.unwrap_or_default();
+        // Lenient on read: checkpoints written before the journal have
+        // no covered sequence, i.e. replay from the start.
+        let journal_seq = c.opt_field("journal_seq", Cursor::u64)?.unwrap_or(0);
+        let master_symbols = c.field("master_symbols", |c| c.list(Cursor::string))?;
+        let name = c.field("name", Cursor::string)?;
+        let router = c.field("router", |c| {
+            c.expect("{")?;
+            let entities = c.field("entities", |c| c.list(read_term))?;
+            let late_couplings = c.field("late_couplings", Cursor::u64)?;
+            let n_shards = c.field("n_shards", Cursor::usize)?;
+            let parent = c.field("parent", |c| c.list(Cursor::usize))?;
+            let pinned = c.field("pinned", Cursor::usize)?;
+            let shard_of_root = c.field("shard_of_root", |c| {
+                c.list(|c| {
+                    c.expect("[")?;
+                    let root = c.usize()?;
+                    c.expect(",")?;
+                    let shard = c.usize()?;
+                    c.expect("]")?;
+                    Ok((root, shard))
+                })
+            })?;
+            c.expect("}")?;
+            Ok(RouterSnapshot {
+                n_shards,
+                entities,
+                parent,
+                shard_of_root,
+                pinned,
+                late_couplings,
+            })
+        })?;
+        let shards = c.field("shards", |c| c.list(EngineCheckpoint::read_state))?;
+        let stats = c.field("stats", |c| {
+            c.expect("{")?;
+            let backpressure_waits = c.field("backpressure_waits", Cursor::u64)?;
+            let engine = c.field("engine", read_engine_stats)?;
+            let events_ingested = c.field("events_ingested", Cursor::u64)?;
+            let frames_rejected = c.field("frames_rejected", Cursor::u64)?;
+            let intervals_ingested = c.field("intervals_ingested", Cursor::u64)?;
+            let processed_to = c.field("processed_to", Cursor::i64)?;
+            let queue_high_water = c.field("queue_high_water", |c| c.list(Cursor::u64))?;
+            let shed = c.opt_field("shed", Cursor::u64)?.unwrap_or(0);
+            let ticks = c.field("ticks", Cursor::u64)?;
+            let worker_restarts = c.field("worker_restarts", Cursor::u64)?;
+            c.expect("}")?;
+            Ok(SessionStats {
+                events_ingested,
+                intervals_ingested,
+                backpressure_waits,
+                ticks,
+                processed_to,
+                tick_latency: Default::default(),
+                queue_high_water,
+                worker_restarts,
+                frames_rejected,
+                shed,
+                engine,
+            })
+        })?;
+        c.expect("}")?;
         Ok(SessionCheckpoint {
             name,
             description_src,
@@ -520,11 +331,101 @@ impl SessionCheckpoint {
             deadletter_counts,
             deadletter_records_dropped,
             reorder,
-            // Lenient on read: checkpoints written before the journal
-            // have no covered sequence, i.e. replay from the start.
-            journal_seq: opt_u64_of(state, "journal_seq")?.unwrap_or(0),
+            journal_seq,
         })
     }
+}
+
+/// Dead-letter reasons with their [`DeadLetterReason::ALL`] index, in
+/// the key order of the document's `deadletter` object.
+fn reasons_by_name() -> Vec<(usize, DeadLetterReason)> {
+    let mut reasons: Vec<_> = DeadLetterReason::ALL.into_iter().enumerate().collect();
+    reasons.sort_by_key(|(_, reason)| reason.as_str());
+    reasons
+}
+
+fn read_config(c: &mut Cursor<'_>) -> Result<SessionConfig, String> {
+    c.expect("{")?;
+    // Ingest options are lenient on read: checkpoints written before
+    // the resilient-ingestion layer simply lack them.
+    let dedup = c.opt_field("dedup", Cursor::bool)?.unwrap_or(false);
+    // Lenient on read (older checkpoints lack it). Engine state is
+    // mode-agnostic, so restoring under a different mode than the one
+    // that wrote the checkpoint is sound; the recorded mode wins over
+    // the environment when present.
+    let eval = match c.opt_field("eval", Cursor::string)? {
+        None => SessionConfig::default().eval,
+        Some(mode) => EvalMode::parse(&mode).ok_or_else(|| c.err("bad eval mode"))?,
+    };
+    // Lenient on read: checkpoints written before sliding evaluation
+    // lack `incremental` and `slide` (tumbling, full recompute).
+    let incremental = c.opt_field("incremental", Cursor::bool)?.unwrap_or(false);
+    let max_buffered_bytes = c.opt_field("max_buffered_bytes", Cursor::u64)?;
+    let max_events_per_tick = c.opt_field("max_events_per_tick", Cursor::u64)?;
+    let max_worker_restarts = c.field("max_worker_restarts", Cursor::usize)?;
+    // Lenient on read: checkpoints written before the profiler restore
+    // with it on (the default) — profiler state itself is process-local
+    // and was never in the checkpoint anyway.
+    let profile = c.opt_field("profile", Cursor::bool)?.unwrap_or(true);
+    let queue_capacity = c.field("queue_capacity", Cursor::usize)?;
+    let reorder_slack = c.opt_field("reorder_slack", Cursor::i64)?;
+    let shards = c.field("shards", Cursor::usize)?;
+    let slide = c.opt_field("slide", Cursor::i64)?;
+    let slow_tick_ms = c.opt_field("slow_tick_ms", Cursor::u64)?;
+    let tick_deadline_ms = c.opt_field("tick_deadline_ms", Cursor::u64)?;
+    let window = c.opt_field("window", Cursor::i64)?;
+    c.expect("}")?;
+    Ok(SessionConfig {
+        window,
+        slide,
+        incremental,
+        shards,
+        queue_capacity,
+        max_worker_restarts,
+        reorder_slack,
+        dedup,
+        max_events_per_tick,
+        max_buffered_bytes,
+        tick_deadline_ms,
+        eval,
+        profile,
+        slow_tick_ms,
+    })
+}
+
+type IngestSection = (
+    [u64; DeadLetterReason::ALL.len()],
+    u64,
+    Option<ReorderSnapshot>,
+);
+
+fn read_ingest(c: &mut Cursor<'_>) -> Result<IngestSection, String> {
+    c.expect("{")?;
+    let mut counts = [0u64; DeadLetterReason::ALL.len()];
+    c.opt_field("deadletter", |c| {
+        c.expect("{")?;
+        for (i, reason) in reasons_by_name() {
+            counts[i] = c.opt_field(reason.as_str(), Cursor::u64)?.unwrap_or(0);
+        }
+        c.expect("}")
+    })?;
+    let dropped = c
+        .opt_field("deadletter_records_dropped", Cursor::u64)?
+        .unwrap_or(0);
+    let reorder = c.opt_field("reorder", |c| {
+        c.expect("{")?;
+        let events = c.field("events", |c| c.list(read_event))?;
+        let max_seen = c.field("max_seen", Cursor::i64)?;
+        let released_to = c.field("released_to", Cursor::i64)?;
+        c.expect("}")?;
+        Ok(ReorderSnapshot {
+            events,
+            max_seen,
+            released_to,
+        })
+    })?;
+    c.expect("}")?;
+    Ok((counts, dropped, reorder))
 }
 
 /// The checkpoint file for `session` under `dir`. Session names are
@@ -666,88 +567,6 @@ fn unescape_name(encoded: &str) -> Option<String> {
         }
     }
     String::from_utf8(bytes).ok()
-}
-
-fn counter(n: usize) -> Value {
-    Value::from(i64::try_from(n).unwrap_or(i64::MAX))
-}
-
-fn counter_u64(n: u64) -> Value {
-    Value::from(i64::try_from(n).unwrap_or(i64::MAX))
-}
-
-fn str_of(v: &Value, field: &str) -> Result<String, String> {
-    v.get(field)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("session checkpoint: missing string \"{field}\""))
-}
-
-fn str_array(v: &Value, field: &str) -> Result<Vec<String>, String> {
-    array_of(v, field)?
-        .iter()
-        .map(|s| {
-            s.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("session checkpoint: non-string in \"{field}\""))
-        })
-        .collect()
-}
-
-fn array_of<'v>(v: &'v Value, field: &str) -> Result<&'v Vec<Value>, String> {
-    v.get(field)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("session checkpoint: missing array \"{field}\""))
-}
-
-fn usize_of(v: &Value, field: &str) -> Result<usize, String> {
-    v.get(field)
-        .and_then(Value::as_i64)
-        .and_then(|n| usize::try_from(n).ok())
-        .ok_or_else(|| format!("session checkpoint: bad integer \"{field}\""))
-}
-
-fn u64_of(v: &Value, field: &str) -> Result<u64, String> {
-    v.get(field)
-        .and_then(Value::as_i64)
-        .and_then(|n| u64::try_from(n).ok())
-        .ok_or_else(|| format!("session checkpoint: bad integer \"{field}\""))
-}
-
-/// An optional non-negative integer: absent or `null` reads as `None`.
-fn opt_u64_of(v: &Value, field: &str) -> Result<Option<u64>, String> {
-    match v.get(field) {
-        None | Some(Value::Null) => Ok(None),
-        Some(_) => u64_of(v, field).map(Some),
-    }
-}
-
-/// An optional integer: absent or `null` reads as `None`.
-fn opt_i64_of(v: &Value, field: &str) -> Result<Option<i64>, String> {
-    match v.get(field) {
-        None | Some(Value::Null) => Ok(None),
-        Some(n) => n
-            .as_i64()
-            .map(Some)
-            .ok_or_else(|| format!("session checkpoint: bad integer \"{field}\"")),
-    }
-}
-
-/// An optional boolean: absent or `null` reads as `false`.
-fn bool_of(v: &Value, field: &str) -> Result<bool, String> {
-    match v.get(field) {
-        None | Some(Value::Null) => Ok(false),
-        Some(b) => b
-            .as_bool()
-            .ok_or_else(|| format!("session checkpoint: non-boolean \"{field}\"")),
-    }
-}
-
-fn opt_counter_u64(n: Option<u64>) -> Value {
-    match n {
-        Some(n) => counter_u64(n),
-        None => Value::Null,
-    }
 }
 
 #[cfg(test)]

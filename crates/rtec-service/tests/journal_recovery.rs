@@ -24,6 +24,17 @@ const DESC: &str = "initiatedAt(on(X)=true, T) :- happensAt(up(X), T).
 
 const TICK_EVERY: i64 = 50;
 
+/// The fault tests install a process-global plan (`fault::with_plan`),
+/// and a sibling test writing at the same time would consume its fault
+/// counters. Every test in this file holds this lock, so they run one at
+/// a time.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn temp_dirs(tag: &str) -> (PathBuf, PathBuf) {
     let base = std::env::temp_dir().join(format!("rtec-jrec-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
@@ -126,6 +137,7 @@ fn oracle_rows(ticks_fed: i64, final_to: i64) -> Vec<(String, String)> {
 
 #[test]
 fn cold_restore_replays_journal_tail_byte_identically() {
+    let _serial = serial();
     let (cp, jnl) = temp_dirs("tail");
     {
         let r = registry(&cp, &jnl);
@@ -154,6 +166,7 @@ fn cold_restore_replays_journal_tail_byte_identically() {
 
 #[test]
 fn restore_from_journal_alone_before_first_checkpoint() {
+    let _serial = serial();
     let (cp, jnl) = temp_dirs("nocp");
     {
         let r = registry(&cp, &jnl);
@@ -177,6 +190,7 @@ fn restore_from_journal_alone_before_first_checkpoint() {
 
 #[test]
 fn corrupted_tails_recover_the_newest_consistent_prefix() {
+    let _serial = serial();
     let (cp, jnl) = temp_dirs("corrupt");
     {
         let r = registry(&cp, &jnl);
@@ -250,6 +264,7 @@ fn corrupted_tails_recover_the_newest_consistent_prefix() {
 
 #[test]
 fn dead_letter_accounting_survives_cold_restore_exactly() {
+    let _serial = serial();
     let (cp, jnl) = temp_dirs("dl");
     let bad_feed = |r: &Registry, s: &str| {
         // A duplicate (dedup on), a malformed event, and — after the
@@ -298,6 +313,7 @@ fn dead_letter_accounting_survives_cold_restore_exactly() {
 
 #[test]
 fn close_keep_durable_retains_state_for_migration() {
+    let _serial = serial();
     let (cp, jnl) = temp_dirs("migrate");
     let r = registry(&cp, &jnl);
     dispatch_ok(&r, &open_line("s"));
@@ -333,6 +349,7 @@ mod faults {
 
     #[test]
     fn torn_checkpoint_write_keeps_journal_coverage() {
+        let _serial = super::serial();
         let (cp, jnl) = temp_dirs("torncp");
         let plan = FaultPlan::new().io_fault(1, IoFaultKind::Torn { keep_bytes: 40 });
         let _ = with_plan(plan, || {
@@ -356,6 +373,7 @@ mod faults {
 
     #[test]
     fn journal_write_fault_fails_the_ack_not_the_session() {
+        let _serial = super::serial();
         let (cp, jnl) = temp_dirs("jfault");
         let plan = FaultPlan::new().journal_fault(2, IoFaultKind::Error);
         let _ = with_plan(plan, || {

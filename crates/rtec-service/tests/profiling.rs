@@ -18,6 +18,17 @@ const DESC: &str = "initiatedAt(on(X)=true, T) :- happensAt(up(X), T).
 const TICK_EVERY: i64 = 40;
 const TICKS: i64 = 4;
 
+/// The slow-tick test installs a process-global plan
+/// (`fault::with_plan`), and a sibling test ticking at the same time
+/// would consume its tick-delay counter. Every test in this file holds
+/// this lock, so they run one at a time.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn parse_reply(raw: &str) -> Value {
     let v: Value =
         serde_json::from_str(raw).unwrap_or_else(|e| panic!("malformed reply {raw:?}: {e}"));
@@ -95,6 +106,7 @@ fn normalized_checkpoint(dir: &Path, session: &str) -> String {
 
 #[test]
 fn profiler_toggle_is_output_invariant() {
+    let _serial = serial();
     for eval in ["interpreter", "plan", "optimized"] {
         let mut runs = Vec::new();
         for profile in [true, false] {
@@ -117,6 +129,7 @@ fn profiler_toggle_is_output_invariant() {
 
 #[test]
 fn profile_command_reports_attributed_rule_costs() {
+    let _serial = serial();
     for eval in ["interpreter", "plan", "optimized"] {
         let registry = Registry::new();
         let extra = format!(",\"eval\":\"{eval}\"");
@@ -149,6 +162,7 @@ fn profile_command_reports_attributed_rule_costs() {
 
 #[test]
 fn profile_disabled_session_reports_enabled_false() {
+    let _serial = serial();
     let registry = Registry::new();
     run_workload(&registry, "off", ",\"profile\":false");
     let v = parse_reply(&registry.dispatch("{\"cmd\":\"profile\",\"session\":\"off\"}"));
@@ -169,6 +183,7 @@ fn profile_disabled_session_reports_enabled_false() {
 
 #[test]
 fn profile_metrics_are_valid_and_bounded() {
+    let _serial = serial();
     let registry = Registry::new();
     run_workload(&registry, "metrics", ",\"eval\":\"plan\"");
     let text = registry.render_metrics();
@@ -218,6 +233,7 @@ fn profile_metrics_are_valid_and_bounded() {
 #[cfg(feature = "testkit")]
 #[test]
 fn seeded_slow_tick_promotes_a_flight_dump() {
+    let _serial = serial();
     use rtec_service::fault::with_plan;
     use rtec_service::FaultPlan;
 

@@ -16,17 +16,31 @@
 //!
 //! # Wire format
 //!
-//! A checkpoint renders to a single JSON document:
+//! A checkpoint renders to one compact JSON document, keys in this
+//! order and nothing else:
 //!
 //! ```json
-//! {"version": 1, "crc": "<16 hex digits>", "state": {...}}
+//! {"crc":"<16 hex digits>","eval_mode":"plan","state":{...},"version":1}
 //! ```
 //!
-//! `crc` is an FNV-1a 64 hash of the canonical `state` serialization, so
-//! torn or truncated writes are detected on [`EngineCheckpoint::from_json`]
-//! rather than silently restoring garbage. Map-shaped state (inputs,
-//! inertia, output) is sorted by its encoded form, so the same engine
-//! state always produces byte-identical checkpoint documents.
+//! `crc` is the FNV-1a 64 hash of the `state` bytes exactly as stored,
+//! so torn or truncated writes are detected on
+//! [`EngineCheckpoint::from_json`] rather than silently restoring
+//! garbage, and a document that was re-formatted (whitespace, reordered
+//! keys) is refused. `eval_mode` is informational and only engine
+//! documents carry it; the service's session documents use the same
+//! envelope without it ([`write_envelope`], [`read_envelope`]).
+//! Map-shaped state (inputs, inertia, output, the sliding snapshots)
+//! is sorted by the bytes of each encoded entry, so the same engine
+//! state always produces byte-identical documents.
+//!
+//! Both directions run in one pass over one buffer with the
+//! [`crate::json`] primitives: the writer sorts byte ranges of entries
+//! it has already rendered and hashes `state` in place; the reader
+//! checks the envelope, hashes the stored bytes, and decodes with a
+//! [`Cursor`] over the writer's grammar. Reading stays lenient about
+//! keys older writers left out (`sliding` here; several session keys in
+//! the service) and strict about everything else.
 //!
 //! Terms are encoded structurally with **raw symbol ids** — not names —
 //! because a sharded service hands workers terms interned in the
@@ -35,13 +49,14 @@
 //! the same checkpoint (or, for the service, the session's master-table
 //! snapshot), which travels alongside.
 
-use crate::engine::EngineStats;
+use crate::engine::{EngineStats, EvalMode};
 use crate::eval::simple::InertiaState;
 use crate::interval::{Interval, IntervalList, Timepoint};
+use crate::json::{
+    fnv1a64, push_counter, push_hex16, push_i64, push_quoted, push_seq, push_u64, Cursor,
+};
 use crate::symbol::Symbol;
 use crate::term::{GroundFvp, Term};
-use serde_json::Value;
-use std::collections::BTreeMap;
 
 /// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: i64 = 1;
@@ -159,163 +174,76 @@ impl EngineCheckpoint {
         self.sliding.as_ref()
     }
 
-    /// Serializes the checkpoint state to a JSON [`Value`] (no version
-    /// envelope). Used both by [`EngineCheckpoint::to_json`] and by the
-    /// service, which embeds per-shard engine states into a session
-    /// checkpoint document.
-    pub fn to_value(&self) -> Value {
-        let mut state = BTreeMap::new();
-        state.insert(
-            "symbols".to_string(),
-            Value::Array(
-                self.symbols
-                    .iter()
-                    .map(|s| Value::from(s.as_str()))
-                    .collect(),
-            ),
-        );
-        state.insert(
-            "pending".to_string(),
-            Value::Array(
-                self.pending
-                    .iter()
-                    .map(|(term, t)| Value::Array(vec![encode_term(term), Value::from(*t)]))
-                    .collect(),
-            ),
-        );
-        state.insert(
-            "inputs".to_string(),
-            sorted_entries(self.inputs.iter().map(|(fvp, list)| {
-                Value::Array(vec![encode_fvp(fvp), encode_interval_list(list)])
-            })),
-        );
-        state.insert("inertia".to_string(), encode_inertia_entries(&self.inertia));
-        state.insert("processed_to".to_string(), Value::from(self.processed_to));
+    /// Writes the checksummed `state` object (no envelope). The service
+    /// embeds per-shard states into its session document this way.
+    pub fn write_state(&self, out: &mut String) {
+        out.push_str("{\"inertia\":");
+        write_inertia(out, &self.inertia);
+        out.push_str(",\"inputs\":");
+        write_sorted(out, &self.inputs, write_fvp_entry);
+        out.push_str(",\"output\":");
+        write_sorted(out, &self.output, write_fvp_entry);
+        out.push_str(",\"pending\":");
+        push_seq(out, &self.pending, write_event);
+        out.push_str(",\"processed_to\":");
+        push_i64(out, self.processed_to);
         if let Some(sliding) = &self.sliding {
-            let mut section = BTreeMap::new();
-            section.insert(
-                "snapshots".to_string(),
-                Value::Array(
-                    sliding
-                        .snapshots
-                        .iter()
-                        .map(|(t, entries)| {
-                            Value::Array(vec![Value::from(*t), encode_inertia_entries(entries)])
-                        })
-                        .collect(),
-                ),
-            );
-            section.insert(
-                "retained".to_string(),
-                Value::Array(
-                    sliding
-                        .retained
-                        .iter()
-                        .map(|(term, t)| Value::Array(vec![encode_term(term), Value::from(*t)]))
-                        .collect(),
-                ),
-            );
-            state.insert("sliding".to_string(), Value::Object(section));
+            out.push_str(",\"sliding\":{\"retained\":");
+            push_seq(out, &sliding.retained, write_event);
+            out.push_str(",\"snapshots\":");
+            push_seq(out, &sliding.snapshots, |out, (t, entries)| {
+                out.push('[');
+                push_i64(out, *t);
+                out.push(',');
+                write_inertia(out, entries);
+                out.push(']');
+            });
+            out.push('}');
         }
-        state.insert(
-            "output".to_string(),
-            sorted_entries(self.output.iter().map(|(fvp, list)| {
-                Value::Array(vec![encode_fvp(fvp), encode_interval_list(list)])
-            })),
-        );
-        state.insert(
-            "warnings".to_string(),
-            Value::Array(
-                self.warnings
-                    .iter()
-                    .map(|w| Value::from(w.as_str()))
-                    .collect(),
-            ),
-        );
-        let mut stats = BTreeMap::new();
-        stats.insert("windows".to_string(), counter(self.stats.windows));
-        stats.insert(
-            "events_processed".to_string(),
-            counter(self.stats.events_processed),
-        );
-        stats.insert(
-            "events_dropped".to_string(),
-            counter(self.stats.events_dropped),
-        );
-        state.insert("stats".to_string(), Value::Object(stats));
-        Value::Object(state)
+        out.push_str(",\"stats\":");
+        write_engine_stats(out, &self.stats);
+        out.push_str(",\"symbols\":");
+        push_seq(out, &self.symbols, |out, s| push_quoted(out, s));
+        out.push_str(",\"warnings\":");
+        push_seq(out, &self.warnings, |out, s| push_quoted(out, s));
+        out.push('}');
     }
 
-    /// Reconstructs a checkpoint from the state [`Value`] produced by
-    /// [`EngineCheckpoint::to_value`].
-    pub fn from_value(state: &Value) -> Result<EngineCheckpoint, String> {
-        let symbols = str_array(state, "symbols")?;
-        let pending = array_field(state, "pending")?
-            .iter()
-            .map(|entry| {
-                let pair = pair_of(entry, "pending")?;
-                Ok((decode_term(&pair[0])?, timepoint(&pair[1], "pending")?))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let inputs = decode_fvp_entries(state, "inputs")?;
-        let inertia = decode_inertia_entries(
-            state
-                .get("inertia")
-                .ok_or("checkpoint: missing array field \"inertia\"")?,
-        )?;
+    /// Reads a `state` object written by [`EngineCheckpoint::write_state`].
+    pub fn read_state(c: &mut Cursor<'_>) -> Result<EngineCheckpoint, String> {
+        c.expect("{")?;
+        let inertia = c.field("inertia", read_inertia)?;
+        let inputs = c.field("inputs", |c| c.list(read_fvp_entry))?;
+        let output = c.field("output", |c| c.list(read_fvp_entry))?;
+        let pending = c.field("pending", |c| c.list(read_event))?;
+        let processed_to = c.field("processed_to", Cursor::i64)?;
         // Absent in tumbling engines and pre-sliding checkpoints.
-        let sliding = match state.get("sliding") {
-            None => None,
-            Some(section) => {
-                let snapshots = section
-                    .get("snapshots")
-                    .and_then(Value::as_array)
-                    .ok_or("checkpoint: sliding section missing \"snapshots\"")?
-                    .iter()
-                    .map(|entry| {
-                        let pair = pair_of(entry, "sliding snapshot")?;
-                        let t = timepoint(&pair[0], "sliding snapshot")?;
-                        Ok((t, decode_inertia_entries(&pair[1])?))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                let retained = section
-                    .get("retained")
-                    .and_then(Value::as_array)
-                    .ok_or("checkpoint: sliding section missing \"retained\"")?
-                    .iter()
-                    .map(|entry| {
-                        let pair = pair_of(entry, "sliding retained")?;
-                        Ok((decode_term(&pair[0])?, timepoint(&pair[1], "retained")?))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                if snapshots.is_empty() {
-                    return Err("checkpoint: sliding section has no snapshots".to_string());
-                }
-                Some(SlidingSection {
-                    snapshots,
-                    retained,
+        let sliding = c.opt_field("sliding", |c| {
+            c.expect("{")?;
+            let retained = c.field("retained", |c| c.list(read_event))?;
+            let snapshots = c.field("snapshots", |c| {
+                c.list(|c| {
+                    c.expect("[")?;
+                    let t = c.i64()?;
+                    c.expect(",")?;
+                    let entries = read_inertia(c)?;
+                    c.expect("]")?;
+                    Ok((t, entries))
                 })
+            })?;
+            c.expect("}")?;
+            if snapshots.is_empty() {
+                return Err(c.err("sliding section has no snapshots"));
             }
-        };
-        let processed_to = state
-            .get("processed_to")
-            .and_then(Value::as_i64)
-            .ok_or("checkpoint: missing \"processed_to\"")?;
-        let output = decode_fvp_entries(state, "output")?;
-        let warnings = str_array(state, "warnings")?;
-        let stats_value = state.get("stats").ok_or("checkpoint: missing \"stats\"")?;
-        let stat = |name: &str| -> Result<usize, String> {
-            stats_value
-                .get(name)
-                .and_then(Value::as_i64)
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| format!("checkpoint: bad stats field \"{name}\""))
-        };
-        let stats = EngineStats {
-            windows: stat("windows")?,
-            events_processed: stat("events_processed")?,
-            events_dropped: stat("events_dropped")?,
-        };
+            Ok(SlidingSection {
+                snapshots,
+                retained,
+            })
+        })?;
+        let stats = c.field("stats", read_engine_stats)?;
+        let symbols = c.field("symbols", |c| c.list(Cursor::string))?;
+        let warnings = c.field("warnings", |c| c.list(Cursor::string))?;
+        c.expect("}")?;
         Ok(EngineCheckpoint {
             symbols,
             pending,
@@ -334,302 +262,312 @@ impl EngineCheckpoint {
     /// document. The same engine state always yields byte-identical
     /// documents (map entries are sorted canonically).
     pub fn to_json(&self) -> String {
-        let state = self.to_value();
-        let payload = serde_json::to_string(&state).unwrap_or_else(|_| "{}".into());
-        let mut doc = BTreeMap::new();
-        doc.insert("version".to_string(), Value::from(CHECKPOINT_VERSION));
-        doc.insert(
-            "crc".to_string(),
-            Value::from(fnv1a_hex(payload.as_bytes())),
-        );
-        if let Some(mode) = &self.eval_mode {
-            doc.insert("eval_mode".to_string(), Value::from(mode.as_str()));
-        }
-        doc.insert("state".to_string(), state);
-        serde_json::to_string(&Value::Object(doc)).unwrap_or_else(|_| "{}".into())
+        let mut out = String::new();
+        write_envelope(&mut out, self.eval_mode.as_deref(), |out| {
+            self.write_state(out)
+        });
+        out
     }
 
     /// Parses and verifies a checkpoint document: version must match,
-    /// and the embedded checksum must agree with the state payload —
+    /// and the embedded checksum must agree with the stored state bytes —
     /// a torn or truncated write fails here instead of restoring
     /// corrupt engine state.
     pub fn from_json(text: &str) -> Result<EngineCheckpoint, String> {
-        let doc: Value =
-            serde_json::from_str(text).map_err(|e| format!("checkpoint: malformed JSON: {e}"))?;
-        let version = doc
-            .get("version")
-            .and_then(Value::as_i64)
-            .ok_or("checkpoint: missing \"version\"")?;
-        if version != CHECKPOINT_VERSION {
-            return Err(format!(
-                "checkpoint: unsupported version {version} (expected {CHECKPOINT_VERSION})"
-            ));
-        }
-        let crc = doc
-            .get("crc")
-            .and_then(Value::as_str)
-            .ok_or("checkpoint: missing \"crc\"")?;
-        let state = doc.get("state").ok_or("checkpoint: missing \"state\"")?;
-        let payload = serde_json::to_string(state).map_err(|e| format!("checkpoint: {e}"))?;
-        let actual = fnv1a_hex(payload.as_bytes());
-        if actual != crc {
-            return Err(format!(
-                "checkpoint: checksum mismatch (stored {crc}, computed {actual}) — torn write?"
-            ));
-        }
-        let mut checkpoint = EngineCheckpoint::from_value(state)?;
-        // Informational envelope field; absent in pre-existing documents.
-        checkpoint.eval_mode = doc
-            .get("eval_mode")
-            .and_then(Value::as_str)
-            .map(str::to_owned);
+        let (eval_mode, mut c) = read_envelope(text, "checkpoint")?;
+        let mut checkpoint = EngineCheckpoint::read_state(&mut c)?;
+        c.end()?;
+        checkpoint.eval_mode = eval_mode;
         Ok(checkpoint)
     }
 }
 
-/// Encodes inertia entries (ground fluent -> open values) canonically
-/// sorted, the shape shared by the `inertia` field and the per-snapshot
-/// states of the `sliding` section.
-fn encode_inertia_entries(entries: &InertiaEntries) -> Value {
-    sorted_entries(entries.iter().map(|(fluent, open)| {
-        let open: Vec<Value> = open
-            .iter()
-            .map(|(value, start)| Value::Array(vec![encode_term(value), Value::from(*start)]))
-            .collect();
-        Value::Array(vec![encode_term(fluent), Value::Array(open)])
-    }))
+/// Writes `{"crc":…,["eval_mode":…,]"state":…,"version":1}` into `out`,
+/// with `state` written by `write_state` and hashed in place.
+pub fn write_envelope(
+    out: &mut String,
+    eval_mode: Option<&str>,
+    write_state: impl FnOnce(&mut String),
+) {
+    out.push_str("{\"crc\":\"");
+    let crc_at = out.len();
+    out.push_str("0000000000000000\"");
+    if let Some(mode) = eval_mode {
+        out.push_str(",\"eval_mode\":");
+        push_quoted(out, mode);
+    }
+    out.push_str(",\"state\":");
+    let state_at = out.len();
+    write_state(out);
+    let mut crc = String::with_capacity(16);
+    push_hex16(&mut crc, fnv1a64(&out.as_bytes()[state_at..]));
+    out.replace_range(crc_at..crc_at + 16, &crc);
+    out.push_str(",\"version\":");
+    push_i64(out, CHECKPOINT_VERSION);
+    out.push('}');
 }
 
-/// Decodes inertia entries encoded by [`encode_inertia_entries`].
-fn decode_inertia_entries(value: &Value) -> Result<InertiaEntries, String> {
-    value
-        .as_array()
-        .ok_or("checkpoint: inertia entries must be an array")?
-        .iter()
-        .map(|entry| {
-            let pair = pair_of(entry, "inertia")?;
-            let fluent = decode_term(&pair[0])?;
-            let open = pair[1]
-                .as_array()
-                .ok_or("checkpoint: inertia opens must be an array")?
-                .iter()
-                .map(|ov| {
-                    let ov = pair_of(ov, "inertia open")?;
-                    Ok((decode_term(&ov[0])?, timepoint(&ov[1], "inertia open")?))
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok((fluent, open))
-        })
-        .collect()
+/// Checks the envelope [`write_envelope`] produces — layout, version,
+/// then the checksum over the stored `state` bytes — and returns the
+/// `eval_mode` label with a cursor over exactly the `state` bytes.
+/// `what` prefixes every error.
+pub fn read_envelope<'t>(
+    text: &'t str,
+    what: &'static str,
+) -> Result<(Option<String>, Cursor<'t>), String> {
+    let mut head = Cursor::new(text, what);
+    head.expect("{\"crc\":\"")?;
+    let stored = head.hex16()?;
+    head.expect("\"")?;
+    let eval_mode = match head.eat(",\"eval_mode\":") {
+        false => None,
+        true => match head.string()? {
+            mode if EvalMode::parse(&mode).is_some() => Some(mode),
+            _ => return Err(head.err("unknown \"eval_mode\"")),
+        },
+    };
+    head.expect(",\"state\":")?;
+    let (body, version) = text
+        .strip_suffix('}')
+        .and_then(|t| t.rsplit_once(",\"version\":"))
+        .ok_or_else(|| format!("{what}: missing \"version\" — torn write?"))?;
+    if version != CHECKPOINT_VERSION.to_string() {
+        return Err(format!(
+            "{what}: unsupported version {version} (expected {CHECKPOINT_VERSION})"
+        ));
+    }
+    let state = body
+        .get(head.offset()..)
+        .ok_or_else(|| format!("{what}: missing \"state\" — torn write?"))?;
+    let actual = fnv1a64(state.as_bytes());
+    if actual != stored {
+        return Err(format!(
+            "{what}: checksum mismatch (stored {stored:016x}, computed {actual:016x}) — torn write?"
+        ));
+    }
+    Ok((eval_mode, Cursor::new(state, what)))
 }
 
-/// Collects entry values, sorts them by their canonical serialization
-/// (HashMap iteration order must not leak into checkpoint bytes), and
-/// wraps them in an array.
-fn sorted_entries(entries: impl Iterator<Item = Value>) -> Value {
-    let mut rendered: Vec<(String, Value)> = entries
-        .map(|v| (serde_json::to_string(&v).unwrap_or_default(), v))
-        .collect();
-    rendered.sort_by(|a, b| a.0.cmp(&b.0));
-    Value::Array(rendered.into_iter().map(|(_, v)| v).collect())
+/// Writes `items` as an array sorted by the bytes of each rendered
+/// entry (HashMap iteration order must not leak into checkpoint bytes):
+/// every entry is rendered once, then the byte ranges are sorted.
+fn write_sorted<T>(out: &mut String, items: &[T], write: impl Fn(&mut String, &T)) {
+    let base = out.len();
+    let mut spans = Vec::with_capacity(items.len());
+    for item in items {
+        let start = out.len() - base;
+        write(out, item);
+        spans.push(start..out.len() - base);
+    }
+    let rendered = out.split_off(base);
+    spans.sort_unstable_by(|a, b| rendered[a.clone()].cmp(&rendered[b.clone()]));
+    push_seq(out, &spans, |out, span| {
+        out.push_str(&rendered[span.clone()])
+    });
 }
 
-/// Encodes a term structurally with raw symbol ids:
-/// `{"v": id}` variable, `{"a": id}` atom, `{"i": n}` integer,
-/// `{"f": "<hex bits>"}` float (exact bit pattern), `{"c": [id, args…]}`
-/// compound, `{"l": [elems…]}` list.
-pub fn encode_term(term: &Term) -> Value {
-    let mut map = BTreeMap::new();
+/// Writes inertia entries (ground fluent -> open values), the shape
+/// shared by the `inertia` field and the per-snapshot states of the
+/// `sliding` section.
+fn write_inertia(out: &mut String, entries: &InertiaEntries) {
+    write_sorted(out, entries, |out, (fluent, open)| {
+        out.push('[');
+        write_term(out, fluent);
+        out.push(',');
+        push_seq(out, open, write_event);
+        out.push(']');
+    });
+}
+
+fn read_inertia(c: &mut Cursor<'_>) -> Result<InertiaEntries, String> {
+    c.list(|c| {
+        c.expect("[")?;
+        let fluent = read_term(c)?;
+        c.expect(",")?;
+        let open = c.list(read_event)?;
+        c.expect("]")?;
+        Ok((fluent, open))
+    })
+}
+
+/// Writes `[term,t]`: pending and retained events, inertia opens.
+pub fn write_event(out: &mut String, (term, t): &(Term, Timepoint)) {
+    out.push('[');
+    write_term(out, term);
+    out.push(',');
+    push_i64(out, *t);
+    out.push(']');
+}
+
+/// Reads `[term,t]`.
+pub fn read_event(c: &mut Cursor<'_>) -> Result<(Term, Timepoint), String> {
+    c.expect("[")?;
+    let term = read_term(c)?;
+    c.expect(",")?;
+    let t = c.i64()?;
+    c.expect("]")?;
+    Ok((term, t))
+}
+
+/// Writes `[[fluent,value],[[start,end],…]]` (an end may be `INF`).
+fn write_fvp_entry(out: &mut String, (fvp, list): &(GroundFvp, IntervalList)) {
+    out.push_str("[[");
+    write_term(out, &fvp.fluent);
+    out.push(',');
+    write_term(out, &fvp.value);
+    out.push_str("],");
+    push_seq(out, list.as_slice(), |out, iv| {
+        out.push('[');
+        push_i64(out, iv.start);
+        out.push(',');
+        push_i64(out, iv.end);
+        out.push(']');
+    });
+    out.push(']');
+}
+
+fn read_fvp_entry(c: &mut Cursor<'_>) -> Result<(GroundFvp, IntervalList), String> {
+    c.expect("[[")?;
+    let fluent = read_term(c)?;
+    c.expect(",")?;
+    let value = read_term(c)?;
+    c.expect("],")?;
+    let fvp = GroundFvp::new(fluent, value).ok_or_else(|| c.err("non-ground fvp"))?;
+    let intervals = c.list(|c| {
+        c.expect("[")?;
+        let start = c.i64()?;
+        c.expect(",")?;
+        let end = c.i64()?;
+        c.expect("]")?;
+        if start >= end {
+            return Err(c.err(&format!("empty interval [{start}, {end})")));
+        }
+        Ok(Interval::new(start, end))
+    })?;
+    c.expect("]")?;
+    Ok((fvp, IntervalList::from_intervals(intervals)))
+}
+
+/// Writes engine counters as `{"events_dropped":…,"events_processed":…,"windows":…}`.
+pub fn write_engine_stats(out: &mut String, stats: &EngineStats) {
+    out.push_str("{\"events_dropped\":");
+    push_counter(out, stats.events_dropped as u64);
+    out.push_str(",\"events_processed\":");
+    push_counter(out, stats.events_processed as u64);
+    out.push_str(",\"windows\":");
+    push_counter(out, stats.windows as u64);
+    out.push('}');
+}
+
+/// Reads counters written by [`write_engine_stats`].
+pub fn read_engine_stats(c: &mut Cursor<'_>) -> Result<EngineStats, String> {
+    c.expect("{")?;
+    let events_dropped = c.field("events_dropped", Cursor::usize)?;
+    let events_processed = c.field("events_processed", Cursor::usize)?;
+    let windows = c.field("windows", Cursor::usize)?;
+    c.expect("}")?;
+    Ok(EngineStats {
+        windows,
+        events_processed,
+        events_dropped,
+    })
+}
+
+/// Writes a term structurally with raw symbol ids:
+/// `{"v":id}` variable, `{"a":id}` atom, `{"i":n}` integer,
+/// `{"f":"<hex bits>"}` float (exact bit pattern), `{"c":[id,args…]}`
+/// compound, `{"l":[elems…]}` list.
+pub fn write_term(out: &mut String, term: &Term) {
     match term {
         Term::Var(sym) => {
-            map.insert("v".to_string(), Value::from(i64::from(sym.0)));
+            out.push_str("{\"v\":");
+            push_u64(out, u64::from(sym.0));
         }
         Term::Atom(sym) => {
-            map.insert("a".to_string(), Value::from(i64::from(sym.0)));
+            out.push_str("{\"a\":");
+            push_u64(out, u64::from(sym.0));
         }
         Term::Int(n) => {
-            map.insert("i".to_string(), Value::from(*n));
+            out.push_str("{\"i\":");
+            push_i64(out, *n);
         }
         Term::Float(f) => {
             // Bit-exact: JSON float round-trips could perturb the value.
-            map.insert(
-                "f".to_string(),
-                Value::from(format!("{:016x}", f.to_bits())),
-            );
+            out.push_str("{\"f\":\"");
+            push_hex16(out, f.to_bits());
+            out.push('"');
         }
         Term::Compound(functor, args) => {
-            let mut items = vec![Value::from(i64::from(functor.0))];
-            items.extend(args.iter().map(encode_term));
-            map.insert("c".to_string(), Value::Array(items));
+            out.push_str("{\"c\":[");
+            push_u64(out, u64::from(functor.0));
+            for arg in args {
+                out.push(',');
+                write_term(out, arg);
+            }
+            out.push(']');
         }
         Term::List(elems) => {
-            map.insert(
-                "l".to_string(),
-                Value::Array(elems.iter().map(encode_term).collect()),
-            );
+            out.push_str("{\"l\":");
+            push_seq(out, elems, write_term);
         }
     }
-    Value::Object(map)
+    out.push('}');
 }
 
-/// Decodes a term encoded by [`encode_term`].
-pub fn decode_term(value: &Value) -> Result<Term, String> {
-    let obj = value
-        .as_object()
-        .ok_or("checkpoint: term must be an object")?;
-    let (tag, payload) = obj.iter().next().ok_or("checkpoint: empty term object")?;
-    match tag.as_str() {
-        "v" => Ok(Term::Var(symbol(payload)?)),
-        "a" => Ok(Term::Atom(symbol(payload)?)),
-        "i" => payload
-            .as_i64()
-            .map(Term::Int)
-            .ok_or_else(|| "checkpoint: integer term must be a number".to_string()),
-        "f" => {
-            let hex = payload
-                .as_str()
-                .ok_or("checkpoint: float term must be a hex string")?;
-            let bits = u64::from_str_radix(hex, 16)
-                .map_err(|e| format!("checkpoint: bad float bits \"{hex}\": {e}"))?;
-            Ok(Term::Float(f64::from_bits(bits)))
-        }
-        "c" => {
-            let items = payload
-                .as_array()
-                .filter(|a| !a.is_empty())
-                .ok_or("checkpoint: compound term must be a non-empty array")?;
-            let functor = symbol(&items[0])?;
-            let args = items[1..]
-                .iter()
-                .map(decode_term)
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Term::Compound(functor, args))
-        }
-        "l" => {
-            let items = payload
-                .as_array()
-                .ok_or("checkpoint: list term must be an array")?;
-            Ok(Term::List(
-                items
-                    .iter()
-                    .map(decode_term)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ))
-        }
-        other => Err(format!("checkpoint: unknown term tag \"{other}\"")),
+/// Terms nest no deeper than this in a document the reader accepts, so
+/// a hostile document cannot exhaust the stack.
+const MAX_TERM_DEPTH: usize = 256;
+
+/// Reads a term written by [`write_term`]: an object with exactly one
+/// known tag.
+pub fn read_term(c: &mut Cursor<'_>) -> Result<Term, String> {
+    read_term_at(c, 0)
+}
+
+fn read_term_at(c: &mut Cursor<'_>, depth: usize) -> Result<Term, String> {
+    if depth > MAX_TERM_DEPTH {
+        return Err(c.err("term nested too deeply"));
     }
+    let term = if c.eat("{\"a\":") {
+        Term::Atom(symbol(c)?)
+    } else if c.eat("{\"c\":[") {
+        let functor = symbol(c)?;
+        let mut args = Vec::new();
+        while c.eat(",") {
+            args.push(read_term_at(c, depth + 1)?);
+        }
+        c.expect("]")?;
+        Term::Compound(functor, args)
+    } else if c.eat("{\"f\":\"") {
+        let bits = c.hex16()?;
+        c.expect("\"")?;
+        Term::Float(f64::from_bits(bits))
+    } else if c.eat("{\"i\":") {
+        Term::Int(c.i64()?)
+    } else if c.eat("{\"l\":") {
+        Term::List(c.list(|c| read_term_at(c, depth + 1))?)
+    } else if c.eat("{\"v\":") {
+        Term::Var(symbol(c)?)
+    } else {
+        return Err(c.err("expected a term object with one of the tags a, c, f, i, l, v"));
+    };
+    c.expect("}")?;
+    Ok(term)
 }
 
-/// Encodes a ground fluent-value pair as `[fluent, value]`.
-pub fn encode_fvp(fvp: &GroundFvp) -> Value {
-    Value::Array(vec![encode_term(&fvp.fluent), encode_term(&fvp.value)])
-}
-
-/// Decodes a ground fluent-value pair encoded by [`encode_fvp`].
-pub fn decode_fvp(value: &Value) -> Result<GroundFvp, String> {
-    let pair = pair_of(value, "fvp")?;
-    let fluent = decode_term(&pair[0])?;
-    let value = decode_term(&pair[1])?;
-    GroundFvp::new(fluent, value).ok_or_else(|| "checkpoint: non-ground fvp".to_string())
-}
-
-/// Encodes an interval list as `[[start, end], …]` (end may be `INF`).
-pub fn encode_interval_list(list: &IntervalList) -> Value {
-    Value::Array(
-        list.as_slice()
-            .iter()
-            .map(|iv| Value::Array(vec![Value::from(iv.start), Value::from(iv.end)]))
-            .collect(),
-    )
-}
-
-/// Decodes an interval list encoded by [`encode_interval_list`].
-pub fn decode_interval_list(value: &Value) -> Result<IntervalList, String> {
-    let pairs = value
-        .as_array()
-        .ok_or("checkpoint: intervals must be an array")?;
-    let ivs = pairs
-        .iter()
-        .map(|pair| {
-            let pair = pair_of(pair, "interval")?;
-            let start = timepoint(&pair[0], "interval")?;
-            let end = timepoint(&pair[1], "interval")?;
-            if start >= end {
-                return Err(format!("checkpoint: empty interval [{start}, {end})"));
-            }
-            Ok(Interval::new(start, end))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(IntervalList::from_intervals(ivs))
-}
-
-fn decode_fvp_entries(
-    state: &Value,
-    field: &str,
-) -> Result<Vec<(GroundFvp, IntervalList)>, String> {
-    array_field(state, field)?
-        .iter()
-        .map(|entry| {
-            let pair = pair_of(entry, field)?;
-            Ok((decode_fvp(&pair[0])?, decode_interval_list(&pair[1])?))
-        })
-        .collect()
-}
-
-fn symbol(value: &Value) -> Result<Symbol, String> {
-    value
-        .as_i64()
-        .and_then(|n| u32::try_from(n).ok())
+fn symbol(c: &mut Cursor<'_>) -> Result<Symbol, String> {
+    let id = c.u64()?;
+    u32::try_from(id)
         .map(Symbol)
-        .ok_or_else(|| "checkpoint: symbol id must be a non-negative integer".to_string())
-}
-
-fn timepoint(value: &Value, what: &str) -> Result<Timepoint, String> {
-    value
-        .as_i64()
-        .ok_or_else(|| format!("checkpoint: {what} time-point must be an integer"))
-}
-
-fn pair_of<'v>(value: &'v Value, what: &str) -> Result<&'v [Value], String> {
-    value
-        .as_array()
-        .filter(|a| a.len() == 2)
-        .map(Vec::as_slice)
-        .ok_or_else(|| format!("checkpoint: {what} entry must be a two-element array"))
-}
-
-fn array_field<'v>(state: &'v Value, field: &str) -> Result<&'v Vec<Value>, String> {
-    state
-        .get(field)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("checkpoint: missing array field \"{field}\""))
-}
-
-fn str_array(state: &Value, field: &str) -> Result<Vec<String>, String> {
-    array_field(state, field)?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("checkpoint: \"{field}\" entries must be strings"))
-        })
-        .collect()
-}
-
-fn counter(n: usize) -> Value {
-    Value::from(i64::try_from(n).unwrap_or(i64::MAX))
+        .map_err(|_| c.err("symbol id out of range"))
 }
 
 /// FNV-1a 64-bit hash, rendered as 16 hex digits — the checksum used by
-/// checkpoint envelopes (engine-level here, session-level in the
-/// service's persistence layer).
+/// checkpoint envelopes.
 pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
+    let mut hex = String::with_capacity(16);
+    push_hex16(&mut hex, fnv1a64(bytes));
+    hex
 }
 
 #[cfg(test)]
@@ -641,6 +579,18 @@ mod tests {
         crate::parser::parse_term(src, sym).unwrap()
     }
 
+    fn decode_term(text: &str) -> Result<Term, String> {
+        let mut c = Cursor::new(text, "test");
+        let term = read_term(&mut c)?;
+        c.end().map(|()| term)
+    }
+
+    fn encode_term(term: &Term) -> String {
+        let mut out = String::new();
+        write_term(&mut out, term);
+        out
+    }
+
     #[test]
     fn terms_round_trip_structurally() {
         let mut sym = SymbolTable::new();
@@ -650,24 +600,67 @@ mod tests {
             "g(f(a), 42, X)",
             "h([a, 1, [b]])",
             "nested(f(g(h(x))), Y)",
+            "k(-3, -2.5, [])",
         ] {
             let t = term(src, &mut sym);
             let decoded = decode_term(&encode_term(&t)).unwrap();
             assert_eq!(t, decoded, "{src}");
         }
-        let f = Term::Float(std::f64::consts::PI);
-        assert_eq!(f, decode_term(&encode_term(&f)).unwrap());
+        for f in [std::f64::consts::PI, -0.0, f64::NAN, f64::NEG_INFINITY] {
+            let t = Term::Float(f);
+            let Term::Float(back) = decode_term(&encode_term(&t)).unwrap() else {
+                panic!("float decoded as another term");
+            };
+            assert_eq!(back.to_bits(), f.to_bits());
+        }
+    }
+
+    #[test]
+    fn term_objects_need_exactly_one_known_tag() {
+        assert_eq!(decode_term(r#"{"a":1}"#).unwrap(), Term::Atom(Symbol(1)));
+        assert_eq!(
+            decode_term(r#"{"c":[2]}"#).unwrap(),
+            Term::Compound(Symbol(2), Vec::new())
+        );
+        for bad in [
+            r#"{"a":1,"c":[2]}"#,
+            r#"{"i":1,"i":2}"#,
+            r#"{"z":1}"#,
+            r#"{}"#,
+            r#"{"c":[]}"#,
+            r#"{"a":-1}"#,
+            r#"{"a":4294967296}"#,
+            r#"{"f":"3ff"}"#,
+            r#"{"f":"3FF0000000000000"}"#,
+            r#"{ "a":1}"#,
+        ] {
+            assert!(decode_term(bad).is_err(), "{bad}");
+        }
+        let deep = format!(
+            "{}{{\"i\":1}}{}",
+            r#"{"l":["#.repeat(10_000),
+            "]}".repeat(10_000)
+        );
+        assert!(decode_term(&deep)
+            .unwrap_err()
+            .contains("nested too deeply"));
     }
 
     #[test]
     fn interval_lists_round_trip_including_open() {
+        let mut sym = SymbolTable::new();
+        let fvp = GroundFvp::new(term("p(a)", &mut sym), term("true", &mut sym)).unwrap();
         for list in [
             IntervalList::new(),
             IntervalList::from_pairs(&[(0, 5), (9, 12)]),
             IntervalList::from_intervals(vec![Interval::new(3, 7), Interval::open(100)]),
         ] {
-            let decoded = decode_interval_list(&encode_interval_list(&list)).unwrap();
-            assert_eq!(list, decoded);
+            let entry = (fvp.clone(), list);
+            let mut out = String::new();
+            write_fvp_entry(&mut out, &entry);
+            let mut c = Cursor::new(&out, "test");
+            assert_eq!(read_fvp_entry(&mut c).unwrap(), entry);
+            c.end().unwrap();
         }
     }
 

@@ -74,6 +74,7 @@ pub mod engine;
 pub mod error;
 pub mod eval;
 pub mod interval;
+pub mod json;
 pub mod lexer;
 pub mod obs;
 pub mod parallel;

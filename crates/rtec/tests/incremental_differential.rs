@@ -25,8 +25,8 @@ fn observe(engine: &Engine<'_>) -> (Vec<String>, Vec<String>, String) {
         .map(|(fvp, list)| format!("{} = {}", fvp.display(symbols), list))
         .collect();
     rows.sort();
-    let state = serde_json::to_string(&engine.checkpoint().to_value())
-        .expect("checkpoint state serializes");
+    let mut state = String::new();
+    engine.checkpoint().write_state(&mut state);
     (rows, out.warnings.clone(), state)
 }
 
@@ -325,7 +325,8 @@ inputFluent(inp(_V)=true).
         engine.run_to(40);
         let symbols = engine.symbols().clone();
         let out = engine.output().clone();
-        let state = serde_json::to_string(&engine.checkpoint().to_value()).unwrap();
+        let mut state = String::new();
+        engine.checkpoint().write_state(&mut state);
         let mut rows: Vec<String> = out
             .iter()
             .map(|(fvp, list)| format!("{} = {}", fvp.display(&symbols), list))
