@@ -136,7 +136,7 @@ fn bench_service(c: &mut Criterion) {
 fn scrape_is_valid_and_bounded(w: &Workload) {
     let registry = rtec_service::Registry::new();
     let open = format!(
-        "{{\"cmd\":\"open\",\"session\":\"scrape\",\"description\":{},\"shards\":2,\"eval\":\"plan\"}}",
+        "{{\"cmd\":\"open\",\"session\":\"scrape\",\"description\":{},\"shards\":2}}",
         serde_json::to_string(&serde_json::Value::from(w.gold.as_str())).unwrap()
     );
     assert!(

@@ -1,7 +1,8 @@
 //! Headline replay benchmark: the maritime critical-event stream
 //! replayed through an in-process rtec-service session at several shard
-//! counts, interpreter vs compiled-plan vs analysis-optimized evaluator
-//! (docs/PLAN.md), reported as events per second in `BENCH_replay.json`.
+//! counts, plus the same stream through one engine with the AST
+//! interpreter vs the compiled plan (docs/PLAN.md), reported as events
+//! per second in `BENCH_replay.json`.
 //!
 //! Run from the repository root (release profile, or the numbers are
 //! meaningless):
@@ -18,7 +19,9 @@
 //!
 //! Unlike the Criterion benches (which track regressions), this runner
 //! produces the checked-in measurement that pins the plan evaluator's
-//! speedup claim; see docs/PLAN.md. The timed replays run with the
+//! speedup over the interpreter; see docs/PLAN.md. Sessions always run
+//! the plan, so the interpreter is timed on engines built directly
+//! (`Engine::new` vs `Engine::with_plan`). The timed replays run with the
 //! profiler off (pure recognition cost); a separate profiled pass
 //! measures the profiler's overhead and attributes wall time per rule
 //! for the maritime gold description (docs/PROFILING.md).
@@ -33,7 +36,11 @@
 
 use maritime::synth::{ScaleTier, SynthStream};
 use maritime::{BrestScenario, Dataset};
-use rtec::engine::EvalMode;
+use rtec::engine::{Engine, EngineConfig};
+use rtec::interval::IntervalList;
+use rtec::term::{GroundFvp, Term};
+use rtec::CompiledDescription;
+use rtec_plan::WithPlan;
 use rtec_service::{Session, SessionConfig};
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -83,7 +90,6 @@ const TICKS: i64 = 12;
 fn replay(
     w: &Workload,
     shards: usize,
-    eval: EvalMode,
     profile: bool,
 ) -> (usize, Option<rtec_obs::profile::ProfileAggregate>) {
     let mut session = Session::open(
@@ -93,7 +99,6 @@ fn replay(
             window: None,
             shards,
             queue_capacity: 1024,
-            eval,
             profile,
             ..SessionConfig::default()
         },
@@ -123,17 +128,17 @@ fn replay(
 
 /// Times `runs` replays and returns the median wall-clock seconds (the
 /// statistic least disturbed by a one-off scheduler hiccup).
-fn measure(w: &Workload, shards: usize, eval: EvalMode, warmup: usize, runs: usize) -> f64 {
+fn measure(w: &Workload, shards: usize, warmup: usize, runs: usize) -> f64 {
     let mut fvps = None;
     for _ in 0..warmup {
-        let (n, _) = replay(w, shards, eval, false);
+        let (n, _) = replay(w, shards, false);
         assert!(n > 0, "replay recognised nothing");
         fvps = Some(n);
     }
     let mut seconds: Vec<f64> = (0..runs)
         .map(|_| {
             let started = Instant::now();
-            let (n, _) = replay(w, shards, eval, false);
+            let (n, _) = replay(w, shards, false);
             let elapsed = started.elapsed().as_secs_f64();
             assert_eq!(Some(n), fvps, "output size changed between runs");
             elapsed
@@ -141,6 +146,88 @@ fn measure(w: &Workload, shards: usize, eval: EvalMode, warmup: usize, runs: usi
         .collect();
     seconds.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     seconds[seconds.len() / 2]
+}
+
+/// The workload parsed once against the description's symbol table,
+/// for the engine-level evaluator comparison.
+struct ParsedWorkload {
+    compiled: CompiledDescription,
+    events: Vec<(Term, i64)>,
+    intervals: Vec<(GroundFvp, IntervalList)>,
+    horizon: i64,
+}
+
+fn parse_workload(w: &Workload) -> ParsedWorkload {
+    let mut desc = rtec::EventDescription::parse(&w.gold).expect("gold parses");
+    let events = w
+        .events
+        .iter()
+        .map(|(t, ev)| (desc.term(ev).expect("event parses"), *t))
+        .collect();
+    let intervals = w
+        .intervals
+        .iter()
+        .map(|(fluent, value, pairs)| {
+            let fvp = desc.fvp(&format!("{fluent}={value}")).expect("fvp parses");
+            (fvp, IntervalList::from_pairs(pairs))
+        })
+        .collect();
+    ParsedWorkload {
+        compiled: desc.compile().expect("gold compiles"),
+        events,
+        intervals,
+        horizon: w.horizon,
+    }
+}
+
+/// One replay through a single engine, ticking where [`replay`] ticks;
+/// returns the recognised fluent-value-pair count.
+fn engine_replay(p: &ParsedWorkload, plan: bool) -> usize {
+    let config = EngineConfig::default();
+    let mut engine = if plan {
+        Engine::with_plan(&p.compiled, config)
+    } else {
+        Engine::new(&p.compiled, config)
+    };
+    for (fvp, list) in &p.intervals {
+        engine.add_input_intervals(fvp.clone(), list.clone());
+    }
+    let step = (p.horizon / TICKS).max(1);
+    let mut next_tick = step;
+    for (ev, t) in &p.events {
+        if *t >= next_tick {
+            engine.run_to(next_tick - 1);
+            next_tick += ((t - next_tick) / step + 1) * step;
+        }
+        engine.add_event(ev.clone(), *t);
+    }
+    engine.run_to(p.horizon).len()
+}
+
+/// Times the interpreter and the plan on engines built directly,
+/// interleaved (interpreter, plan, interpreter, ...) so drift biases
+/// both medians alike; returns their median seconds.
+fn evaluator_medians(p: &ParsedWorkload, warmup: usize, runs: usize) -> (f64, f64) {
+    let expected = engine_replay(p, false);
+    assert!(expected > 0, "engine replay recognised nothing");
+    for _ in 0..warmup {
+        assert_eq!(engine_replay(p, true), expected, "plan diverged");
+    }
+    let mut interp_s = Vec::with_capacity(runs);
+    let mut plan_s = Vec::with_capacity(runs);
+    for _ in 0..runs {
+        for (plan, seconds) in [(false, &mut interp_s), (true, &mut plan_s)] {
+            let started = Instant::now();
+            let n = engine_replay(p, plan);
+            seconds.push(started.elapsed().as_secs_f64());
+            assert_eq!(n, expected, "output size changed between runs");
+        }
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        v[v.len() / 2]
+    };
+    (median(&mut interp_s), median(&mut plan_s))
 }
 
 fn round1(x: f64) -> f64 {
@@ -161,7 +248,6 @@ const JOURNAL_BATCH: usize = 64;
 fn journaled_replay(
     w: &Workload,
     shards: usize,
-    eval: EvalMode,
     dir: &std::path::Path,
     policy: rtec_service::FsyncPolicy,
 ) -> usize {
@@ -178,7 +264,6 @@ fn journaled_replay(
             window: None,
             shards,
             queue_capacity: 1024,
-            eval,
             profile: false,
             ..SessionConfig::default()
         },
@@ -228,23 +313,22 @@ fn journal_cell(w: &Workload, shards: usize, warmup: usize, runs: usize) -> Valu
     // sweep's 5 runs cannot do that on a noisy single-CPU box.
     let runs = runs.max(15);
     let n_events = w.events.len();
-    let eval = EvalMode::Plan;
     let dir = std::env::temp_dir().join(format!("rtec-bench-journal-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create journal dir");
-    let expected = replay(w, shards, eval, false).0;
+    let expected = replay(w, shards, false).0;
     for _ in 0..warmup {
-        let n = journaled_replay(w, shards, eval, &dir, rtec_service::FsyncPolicy::Never);
+        let n = journaled_replay(w, shards, &dir, rtec_service::FsyncPolicy::Never);
         assert_eq!(n, expected, "journaled replay changed the output");
     }
     let mut baseline_s: Vec<f64> = Vec::with_capacity(runs);
     let mut journaled_s: Vec<f64> = Vec::with_capacity(runs);
     for _ in 0..runs {
         let started = Instant::now();
-        let (n, _) = replay(w, shards, eval, false);
+        let (n, _) = replay(w, shards, false);
         baseline_s.push(started.elapsed().as_secs_f64());
         assert_eq!(n, expected, "baseline replay changed the output");
         let started = Instant::now();
-        let n = journaled_replay(w, shards, eval, &dir, rtec_service::FsyncPolicy::Never);
+        let n = journaled_replay(w, shards, &dir, rtec_service::FsyncPolicy::Never);
         journaled_s.push(started.elapsed().as_secs_f64());
         assert_eq!(n, expected, "journaled replay changed the output");
     }
@@ -264,7 +348,6 @@ fn journal_cell(w: &Workload, shards: usize, warmup: usize, runs: usize) -> Valu
     );
     let mut cell = BTreeMap::new();
     cell.insert("shards".to_string(), Value::from(shards));
-    cell.insert("eval".to_string(), Value::from(eval.as_str()));
     cell.insert("fsync".to_string(), Value::from("never"));
     cell.insert("batch_size".to_string(), Value::from(JOURNAL_BATCH));
     cell.insert("baseline_seconds_median".to_string(), Value::from(baseline));
@@ -287,13 +370,13 @@ fn journal_cell(w: &Workload, shards: usize, warmup: usize, runs: usize) -> Valu
     Value::Object(cell.into_iter().collect())
 }
 
-/// One profiled plan-evaluator replay at a single shard: the per-rule
+/// One profiled replay at a single shard: the per-rule
 /// hot-spot table for the maritime gold description, plus the profiled
 /// throughput (so the profiler's overhead is visible next to the
 /// unprofiled numbers).
 fn hotspot_pass(w: &Workload, top_n: usize) -> (Vec<Value>, f64) {
     let started = Instant::now();
-    let (_, aggregate) = replay(w, 1, EvalMode::Plan, true);
+    let (_, aggregate) = replay(w, 1, true);
     let eps = w.events.len() as f64 / started.elapsed().as_secs_f64();
     let aggregate = aggregate.expect("profiled replay returns an aggregate");
     eprintln!("{}", aggregate.render_table(top_n));
@@ -358,7 +441,7 @@ fn synth_workload(tier: ScaleTier) -> SynthWorkload {
 /// One sliding-window replay over the synthetic stream, ticking at
 /// every slide boundary; returns the recognised fluent-value-pair count
 /// of the final window (must agree between the two evaluation modes).
-fn synth_replay(w: &SynthWorkload, incremental: bool, eval: EvalMode) -> usize {
+fn synth_replay(w: &SynthWorkload, incremental: bool) -> usize {
     let mut session = Session::open(
         "bench-synth",
         &w.gold,
@@ -368,7 +451,6 @@ fn synth_replay(w: &SynthWorkload, incremental: bool, eval: EvalMode) -> usize {
             incremental,
             shards: SYNTH_SHARDS,
             queue_capacity: 1024,
-            eval,
             ..SessionConfig::default()
         },
     )
@@ -400,35 +482,22 @@ fn synth_cell(tier: ScaleTier) -> Value {
         "synth tier={} vessels={} events={n_events} window={SYNTH_WINDOW} slide={SYNTH_SLIDE}",
         w.tier, w.vessels
     );
-    let mut per_mode = BTreeMap::new();
-    for (eval, eval_label) in [(EvalMode::Plan, "plan"), (EvalMode::Optimized, "optimized")] {
-        for incremental in [false, true] {
+    let [(full_s, full_eps, full_n), (incr_s, incr_eps, incr_n)] =
+        [false, true].map(|incremental| {
             let label = if incremental { "incremental" } else { "full" };
             let started = Instant::now();
-            let n = synth_replay(&w, incremental, eval);
+            let n = synth_replay(&w, incremental);
             let seconds = started.elapsed().as_secs_f64();
             let eps = n_events as f64 / seconds;
-            eprintln!("synth {eval_label}/{label}: {seconds:.3}s, {eps:.0} events/s ({n} fvps)");
-            per_mode.insert(format!("{eval_label}/{label}"), (seconds, eps, n));
-        }
-    }
-    let (full_s, full_eps, full_n) = per_mode["plan/full"];
-    let (incr_s, incr_eps, incr_n) = per_mode["plan/incremental"];
-    let (opt_full_s, opt_full_eps, opt_full_n) = per_mode["optimized/full"];
-    let (opt_incr_s, opt_incr_eps, opt_incr_n) = per_mode["optimized/incremental"];
+            eprintln!("synth {label}: {seconds:.3}s, {eps:.0} events/s ({n} fvps)");
+            (seconds, eps, n)
+        });
     assert_eq!(
         full_n, incr_n,
         "incremental and full recomputation disagree on the final window"
     );
-    assert_eq!(
-        full_n, opt_full_n,
-        "optimized plan disagrees with the plan on the final window"
-    );
-    assert_eq!(opt_full_n, opt_incr_n, "optimized incremental diverged");
     let speedup = incr_eps / full_eps;
     eprintln!("synth incremental speedup over full recomputation: {speedup:.2}x");
-    let opt_vs_plan = opt_incr_eps / incr_eps;
-    eprintln!("synth optimized-vs-plan incremental throughput ratio: {opt_vs_plan:.3}x");
     let mut cell = BTreeMap::new();
     cell.insert("tier".to_string(), Value::from(w.tier));
     cell.insert("vessels".to_string(), Value::from(w.vessels));
@@ -436,7 +505,6 @@ fn synth_cell(tier: ScaleTier) -> Value {
     cell.insert("window".to_string(), Value::from(SYNTH_WINDOW));
     cell.insert("slide".to_string(), Value::from(SYNTH_SLIDE));
     cell.insert("shards".to_string(), Value::from(SYNTH_SHARDS));
-    cell.insert("eval".to_string(), Value::from("plan"));
     cell.insert("full_seconds".to_string(), Value::from(full_s));
     cell.insert(
         "full_events_per_sec".to_string(),
@@ -450,26 +518,6 @@ fn synth_cell(tier: ScaleTier) -> Value {
     cell.insert(
         "incremental_speedup".to_string(),
         Value::from((speedup * 1000.0).round() / 1000.0),
-    );
-    cell.insert(
-        "optimized_full_seconds".to_string(),
-        Value::from(opt_full_s),
-    );
-    cell.insert(
-        "optimized_full_events_per_sec".to_string(),
-        Value::from(round1(opt_full_eps)),
-    );
-    cell.insert(
-        "optimized_incremental_seconds".to_string(),
-        Value::from(opt_incr_s),
-    );
-    cell.insert(
-        "optimized_incremental_events_per_sec".to_string(),
-        Value::from(round1(opt_incr_eps)),
-    );
-    cell.insert(
-        "optimized_vs_plan_incremental".to_string(),
-        Value::from((opt_vs_plan * 1000.0).round() / 1000.0),
     );
     Value::Object(cell.into_iter().collect())
 }
@@ -535,39 +583,35 @@ fn main() {
         let (warmup, runs) = (1usize, 5usize);
 
         let mut results = Vec::new();
-        let mut speedups = BTreeMap::new();
-        let mut optimized_speedups = BTreeMap::new();
         for shards in [1usize, 2, 4] {
-            let mut per_mode = BTreeMap::new();
-            for eval in [EvalMode::Interpreter, EvalMode::Plan, EvalMode::Optimized] {
-                let median = measure(&w, shards, eval, warmup, runs);
-                let eps = n_events as f64 / median;
-                eprintln!(
-                    "shards={shards} eval={}: {:.3}s median, {:.0} events/s",
-                    eval.as_str(),
-                    median,
-                    eps
-                );
-                per_mode.insert(eval.as_str(), (median, eps));
-                let mut row = BTreeMap::new();
-                row.insert("shards".to_string(), Value::from(shards));
-                row.insert("eval".to_string(), Value::from(eval.as_str()));
-                row.insert("seconds_median".to_string(), Value::from(median));
-                row.insert("events_per_sec".to_string(), Value::from(round1(eps)));
-                results.push(Value::Object(row.into_iter().collect()));
-            }
-            let interp = per_mode["interpreter"].1;
-            let plan = per_mode["plan"].1;
-            let optimized = per_mode["optimized"].1;
-            speedups.insert(
-                shards.to_string(),
-                Value::from(((plan / interp) * 1000.0).round() / 1000.0),
-            );
-            optimized_speedups.insert(
-                shards.to_string(),
-                Value::from(((optimized / interp) * 1000.0).round() / 1000.0),
-            );
+            let median = measure(&w, shards, warmup, runs);
+            let eps = n_events as f64 / median;
+            eprintln!("shards={shards}: {median:.3}s median, {eps:.0} events/s");
+            let mut row = BTreeMap::new();
+            row.insert("shards".to_string(), Value::from(shards));
+            row.insert("seconds_median".to_string(), Value::from(median));
+            row.insert("events_per_sec".to_string(), Value::from(round1(eps)));
+            results.push(Value::Object(row.into_iter().collect()));
         }
+
+        let (interp_s, plan_s) = evaluator_medians(&parse_workload(&w), warmup, runs);
+        let plan_speedup = interp_s / plan_s;
+        eprintln!(
+            "engine: interpreter {interp_s:.3}s, plan {plan_s:.3}s median ({plan_speedup:.2}x)"
+        );
+        let mut evaluators = BTreeMap::new();
+        evaluators.insert(
+            "interpreter_events_per_sec".to_string(),
+            Value::from(round1(n_events as f64 / interp_s)),
+        );
+        evaluators.insert(
+            "plan_events_per_sec".to_string(),
+            Value::from(round1(n_events as f64 / plan_s)),
+        );
+        evaluators.insert(
+            "plan_speedup".to_string(),
+            Value::from((plan_speedup * 1000.0).round() / 1000.0),
+        );
 
         let (hotspots, profiled_eps) = hotspot_pass(&w, rtec_obs::profile::DEFAULT_TOP_N);
         eprintln!("profiled plan replay (1 shard): {profiled_eps:.0} events/s");
@@ -585,12 +629,8 @@ fn main() {
         );
         run.insert("results".to_string(), Value::Array(results));
         run.insert(
-            "plan_speedup_by_shards".to_string(),
-            Value::Object(speedups.into_iter().collect()),
-        );
-        run.insert(
-            "optimized_speedup_by_shards".to_string(),
-            Value::Object(optimized_speedups.into_iter().collect()),
+            "engine_evaluators".to_string(),
+            Value::Object(evaluators.into_iter().collect()),
         );
         run.insert("hotspots".to_string(), Value::Array(hotspots));
         run.insert(

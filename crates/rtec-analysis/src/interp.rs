@@ -93,7 +93,7 @@ fn apply_compare(
     doms: &mut [Dom],
     env: &Env<'_>,
 ) -> Result<(), EmptyReason> {
-    let symbols = env.plan.symbols();
+    let symbols = &env.desc.symbols;
     let contradiction = || {
         EmptyReason::Contradiction(format!(
             "comparison `{} {} {}` can never hold",
@@ -202,8 +202,8 @@ fn apply_atemporal(
         return Ok(());
     };
     let facts: Vec<&Term> = env
-        .plan
-        .facts()
+        .desc
+        .facts
         .iter()
         .filter(|f| f.signature() == Some(sig))
         .collect();
@@ -227,7 +227,7 @@ fn apply_atemporal(
                 narrow_slot(doms, *s, &Narrow::Fin(col), || {
                     EmptyReason::Contradiction(format!(
                         "variable `{}` cannot match any `{}` background fact",
-                        env.plan.symbols().name(vars.syms[*s as usize]),
+                        &env.desc.symbols.name(vars.syms[*s as usize]),
                         env.key_name(sig),
                     ))
                 })?;
@@ -238,7 +238,7 @@ fn apply_atemporal(
                     return Err(EmptyReason::Contradiction(format!(
                         "no `{}` background fact has `{}` in position {}",
                         env.key_name(sig),
-                        g.display(env.plan.symbols()),
+                        g.display(&env.desc.symbols),
                         i + 1,
                     )));
                 }
@@ -277,7 +277,7 @@ fn apply_fluent_ref(
                 fluent: env.key_name(key),
                 value: format!(
                     "`{}`'s domain",
-                    env.plan.symbols().name(vars.syms[*s as usize])
+                    &env.desc.symbols.name(vars.syms[*s as usize])
                 ),
             }
         }),
@@ -286,7 +286,7 @@ fn apply_fluent_ref(
                 if !values.contains(&g) {
                     return Err(EmptyReason::DisjointValue {
                         fluent: env.key_name(key),
-                        value: format!("`{}`", g.display(env.plan.symbols())),
+                        value: format!("`{}`", g.display(&env.desc.symbols)),
                     });
                 }
             }

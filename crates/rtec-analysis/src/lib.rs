@@ -27,9 +27,8 @@
 //! * **strict semantics** only admit conclusions that are sound for
 //!   *any* stream conforming to the declared input schema; with no
 //!   declarations the schema is open and undeclared fluents may be fed
-//!   by the stream. These results become [`OptimizeProofs`] for
-//!   [`rtec_plan::Plan::optimize`], guarded by the observational-identity
-//!   contract (see `rtec_plan::optimize`).
+//!   by the stream. These results are the [`Proofs`] that
+//!   `rtec-cli analyze` summarises.
 //!
 //! ```
 //! use rtec::description::EventDescription;
@@ -61,7 +60,7 @@ use domain::Dom;
 use rtec::ast::{FluentKey, SimpleKind};
 use rtec::description::CompiledDescription;
 use rtec::term::Term;
-use rtec_plan::{OptimizeProofs, Plan};
+use rtec_plan::Plan;
 use std::collections::{BTreeSet, HashMap};
 
 /// Why a rule body can never be satisfied.
@@ -176,6 +175,37 @@ pub struct FluentFacts {
     pub clauses: Vec<usize>,
 }
 
+/// Stream-independent emptiness and reachability evidence: conclusions
+/// of the strict-semantics run, sound for any stream that conforms to
+/// the description's declared input schema and does not inject
+/// intervals for rule-defined fluents.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Proofs {
+    /// Fluents that can never hold on any conforming stream: every
+    /// defining rule is strictly unsatisfiable, or (under a closed
+    /// input schema) the fluent is neither defined nor declared as an
+    /// input.
+    pub never_holds: BTreeSet<FluentKey>,
+    /// Clause indices of rules whose body is unsatisfiable on every
+    /// conforming stream — contradictory comparisons, disjoint value
+    /// sets, or (for static rules) a candidate seed that provably
+    /// yields zero candidates.
+    pub unsat_clauses: BTreeSet<usize>,
+    /// Clause indices of simple rules whose leading `happensAt`
+    /// signature is not a declared input event and not derivable from
+    /// any rule (closed input schema only).
+    pub unreachable_clauses: BTreeSet<usize>,
+}
+
+impl Proofs {
+    /// Whether nothing was proven.
+    pub fn is_empty(&self) -> bool {
+        self.never_holds.is_empty()
+            && self.unsat_clauses.is_empty()
+            && self.unreachable_clauses.is_empty()
+    }
+}
+
 /// The complete analysis of one plan.
 #[derive(Clone, Debug)]
 pub struct Analysis {
@@ -185,13 +215,13 @@ pub struct Analysis {
     pub fluents: Vec<FluentFacts>,
     /// Whether the description declares inputs (closed schema).
     pub closed_schema: bool,
-    proofs: OptimizeProofs,
+    proofs: Proofs,
 }
 
 impl Analysis {
-    /// Stream-independent proofs for [`Plan::optimize`] (strict
-    /// semantics — sound for any conforming stream).
-    pub fn proofs(&self) -> &OptimizeProofs {
+    /// Stream-independent proofs (strict semantics — sound for any
+    /// conforming stream).
+    pub fn proofs(&self) -> &Proofs {
         &self.proofs
     }
 
@@ -264,6 +294,7 @@ struct FInfo {
 
 /// One set of assumptions plus accumulated per-fluent conclusions.
 pub(crate) struct Env<'a> {
+    desc: &'a CompiledDescription,
     plan: &'a Plan,
     closed: bool,
     input_events: BTreeSet<FluentKey>,
@@ -301,18 +332,18 @@ impl<'a> Env<'a> {
 
     /// Renders a key as `name/arity`.
     pub(crate) fn key_name(&self, key: FluentKey) -> String {
-        format!("{}/{}", self.plan.symbols().name(key.0), key.1)
+        format!("{}/{}", self.desc.symbols.name(key.0), key.1)
     }
 }
 
 use interp::{analyze_simple, analyze_static};
 
 /// Parses `inputEvent(name/arity)` / `inputFluent(name/arity)`
-/// declaration facts out of the plan's fact store, mirroring
+/// declaration facts out of the description's fact store, mirroring
 /// `rtec-lint`'s model. Returns `None` when no well-formed declaration
 /// is present (open schema).
-fn declarations(plan: &Plan) -> Option<(BTreeSet<FluentKey>, BTreeSet<FluentKey>)> {
-    let symbols = plan.symbols();
+fn declarations(desc: &CompiledDescription) -> Option<(BTreeSet<FluentKey>, BTreeSet<FluentKey>)> {
+    let symbols = &desc.symbols;
     let ev = symbols.get("inputEvent");
     let fl = symbols.get("inputFluent");
     let slash = symbols.get("/");
@@ -322,7 +353,7 @@ fn declarations(plan: &Plan) -> Option<(BTreeSet<FluentKey>, BTreeSet<FluentKey>
     let mut events = BTreeSet::new();
     let mut fluents = BTreeSet::new();
     let mut any = false;
-    for fact in plan.facts().iter() {
+    for fact in desc.facts.iter() {
         let Some(sig) = fact.signature() else {
             continue;
         };
@@ -364,9 +395,10 @@ struct Run {
     never_holds: BTreeSet<FluentKey>,
 }
 
-fn run(plan: &Plan, closed: bool, undeclared_never_holds: bool) -> Run {
-    let (input_events, input_fluents) = declarations(plan).unwrap_or_default();
+fn run(desc: &CompiledDescription, plan: &Plan, closed: bool, undeclared_never_holds: bool) -> Run {
+    let (input_events, input_fluents) = declarations(desc).unwrap_or_default();
     let mut env = Env {
+        desc,
         plan,
         closed,
         input_events,
@@ -386,12 +418,7 @@ fn run(plan: &Plan, closed: bool, undeclared_never_holds: bool) -> Run {
         vars.syms
             .iter()
             .zip(doms.iter())
-            .map(|(v, d)| {
-                (
-                    plan.symbols().name(*v).to_string(),
-                    d.render(plan.symbols()),
-                )
-            })
+            .map(|(v, d)| (desc.symbols.name(*v).to_string(), d.render(&desc.symbols)))
             .collect()
     };
 
@@ -445,7 +472,7 @@ fn run(plan: &Plan, closed: bool, undeclared_never_holds: bool) -> Run {
                     SimpleKind::Terminated => RuleKind::Terminated,
                 },
                 head: key,
-                head_display: rule.rule.fvp.display(plan.symbols()),
+                head_display: rule.rule.fvp.display(&desc.symbols),
                 empty: reason,
                 slots: render_slots(&rule.vars, &doms),
             });
@@ -466,7 +493,7 @@ fn run(plan: &Plan, closed: bool, undeclared_never_holds: bool) -> Run {
                 clause: rule.rule.clause,
                 kind: RuleKind::HoldsFor,
                 head: key,
-                head_display: rule.rule.fvp.display(plan.symbols()),
+                head_display: rule.rule.fvp.display(&desc.symbols),
                 empty: outcome.reason,
                 slots: render_slots(&rule.vars, &outcome.doms),
             });
@@ -505,7 +532,7 @@ fn run(plan: &Plan, closed: bool, undeclared_never_holds: bool) -> Run {
             can_terminate: stratum.has_simple.then_some(can_terminate),
             values: values.map(|vs| {
                 vs.iter()
-                    .map(|v| v.display(plan.symbols()).to_string())
+                    .map(|v| v.display(&desc.symbols).to_string())
                     .collect()
             }),
             clauses,
@@ -514,17 +541,19 @@ fn run(plan: &Plan, closed: bool, undeclared_never_holds: bool) -> Run {
     out
 }
 
-/// Analyzes a compiled plan under both semantics (see the crate docs).
-pub fn analyze_plan(plan: &Plan) -> Analysis {
-    let closed = declarations(plan).is_some();
-    let lint = run(plan, closed, true);
+/// Compiles `desc` to a plan and analyzes it under both semantics (see
+/// the crate docs).
+pub fn analyze(desc: &CompiledDescription) -> Analysis {
+    let plan = Plan::compile(desc);
+    let closed = declarations(desc).is_some();
+    let lint = run(desc, &plan, closed, true);
     // Under a closed schema the two sets of assumptions coincide; with
     // an open schema the strict run must assume undeclared fluents may
     // be fed by the stream.
     let strict = if closed {
         None
     } else {
-        Some(run(plan, closed, false))
+        Some(run(desc, &plan, closed, false))
     };
     let (unsat, unreachable, never) = match &strict {
         Some(s) => (
@@ -542,25 +571,12 @@ pub fn analyze_plan(plan: &Plan) -> Analysis {
         rules: lint.rules,
         fluents: lint.fluents,
         closed_schema: closed,
-        proofs: OptimizeProofs {
+        proofs: Proofs {
             never_holds: never,
             unsat_clauses: unsat,
             unreachable_clauses: unreachable,
         },
     }
-}
-
-/// Compiles `desc` to a plan and analyzes it.
-pub fn analyze(desc: &CompiledDescription) -> Analysis {
-    analyze_plan(&Plan::compile(desc))
-}
-
-/// Compiles `desc` and rewrites the plan under this crate's proofs: the
-/// `RTEC_EVAL=optimized` evaluator.
-pub fn optimized_plan(desc: &CompiledDescription) -> Plan {
-    let plan = Plan::compile(desc);
-    let proofs = analyze_plan(&plan).proofs().clone();
-    plan.optimize(&proofs)
 }
 
 #[cfg(test)]

@@ -1,13 +1,12 @@
-//! Differential tests for the analysis-driven plan optimizer: the
-//! optimized plan must be *observationally identical* to both the AST
-//! interpreter and the unoptimized plan — same recognised intervals,
-//! same inertia carries, same warnings in first-occurrence order, and
-//! byte-identical checkpoint state — over randomized descriptions that
-//! deliberately contain statically-empty rules, disjoint-value queries,
-//! undeclared-fluent references, foldable interval algebra and
-//! unreachable triggers, over the maritime gold description, and across
-//! checkpoint/restore boundaries that switch into and out of the
-//! optimized mode mid-stream.
+//! Differential tests on the descriptions the analysis reasons about:
+//! the compiled plan must be *observationally identical* to the AST
+//! interpreter — same recognised intervals, same inertia carries, same
+//! warnings in first-occurrence order, and byte-identical checkpoint
+//! state — over randomized descriptions that deliberately contain
+//! statically-empty rules, disjoint-value queries, undeclared-fluent
+//! references, foldable interval algebra and unreachable triggers, and
+//! across checkpoint/restore boundaries that switch evaluator
+//! mid-stream.
 
 use proptest::prelude::*;
 use rtec::checkpoint::EngineCheckpoint;
@@ -15,6 +14,7 @@ use rtec::description::CompiledDescription;
 use rtec::engine::{Engine, EngineConfig};
 use rtec::{EventDescription, Timepoint};
 use rtec_plan::WithPlan;
+use std::sync::Arc;
 
 /// Everything observable about an engine at a point in time: sorted
 /// rendered output rows, the warning log, and the canonical checkpoint
@@ -32,21 +32,12 @@ fn observe(engine: &Engine<'_>) -> (Vec<String>, Vec<String>, String) {
     (rows, out.warnings.clone(), state)
 }
 
-fn assert_identical(reference: &Engine<'_>, optimized: &Engine<'_>, what: &str) {
+fn assert_identical(reference: &Engine<'_>, plan: &Engine<'_>, what: &str) {
     let (rrows, rwarns, rstate) = observe(reference);
-    let (orows, owarns, ostate) = observe(optimized);
-    assert_eq!(rrows, orows, "{what}: output rows diverge");
-    assert_eq!(rwarns, owarns, "{what}: warnings diverge");
-    assert_eq!(rstate, ostate, "{what}: checkpoint state diverges");
-}
-
-/// An engine running the analysis-optimized plan.
-fn with_optimized<'a>(compiled: &'a CompiledDescription, config: EngineConfig) -> Engine<'a> {
-    Engine::with_evaluator(
-        compiled,
-        config,
-        Box::new(rtec_analysis::optimized_plan(compiled)),
-    )
+    let (prows, pwarns, pstate) = observe(plan);
+    assert_eq!(rrows, prows, "{what}: output rows diverge");
+    assert_eq!(rwarns, pwarns, "{what}: warnings diverge");
+    assert_eq!(rstate, pstate, "{what}: checkpoint state diverges");
 }
 
 // ---------------------------------------------------------------------
@@ -54,7 +45,7 @@ fn with_optimized<'a>(compiled: &'a CompiledDescription, config: EngineConfig) -
 // ---------------------------------------------------------------------
 
 /// A randomly generated recognition scenario, biased towards rules the
-/// optimizer acts on.
+/// analysis proves empty or unreachable.
 #[derive(Debug, Clone)]
 struct Scenario {
     desc_src: String,
@@ -64,20 +55,18 @@ struct Scenario {
     milestones: Vec<Timepoint>,
 }
 
-/// Dead or near-dead `initiatedAt(s1(V)=true, ...)` rule bodies. Each
-/// exercises one optimizer decision:
+/// Dead or near-dead `initiatedAt(s1(V)=true, ...)` rule bodies, each a
+/// distinct case for the analysis and the evaluators:
 ///
-/// 0. contradictory time comparison — provably empty AND warning-free,
-///    so the optimizer deletes it;
-/// 1. disjoint-value query on a defined fluent — deleted;
+/// 0. contradictory time comparison — provably empty and warning-free;
+/// 1. disjoint-value query on a defined fluent;
 /// 2. reference to an undeclared fluent — empty under a closed schema,
-///    but NOT deletable (the runtime warns about `ghost` every window);
-/// 3. trigger outside the declared schema — deleted when declarations
-///    are present;
-/// 4. contradiction guarded by a background predicate — deletable only
-///    when `q` facts exist (otherwise the precomputed no-facts warning
-///    must keep firing);
-/// 5. satisfiable rule with a live comparison — must never be touched.
+///    but the runtime warns about `ghost` every window;
+/// 3. trigger outside the declared schema (unreachable when
+///    declarations are present);
+/// 4. contradiction guarded by a background predicate — without `q`
+///    facts the precomputed no-facts warning fires;
+/// 5. satisfiable rule with a live comparison.
 const DEAD_BODIES: [&str; 6] = [
     "happensAt(e0(V), T),\n    T >= 50, T < 10",
     "happensAt(e2(V), T),\n    holdsAt(s0(V)=mid, T)",
@@ -144,7 +133,7 @@ fn render_description(
     if dead_static {
         // `dead0` is defined but its only initiation is contradictory,
         // so `holdsFor(dead0(x)=true, _)` is a provably-empty ground
-        // read: the optimizer folds it out of the algebra below.
+        // read inside the algebra below.
         src.push_str("initiatedAt(dead0(V)=true, T) :-\n    happensAt(e0(V), T),\n    1 > 2.\n");
         src.push_str(
             "holdsFor(st2(V)=true, I) :-\n    holdsFor(s0(V)=lo, I1),\n    \
@@ -153,7 +142,7 @@ fn render_description(
         );
     }
     if disjoint_static {
-        // `s0` can only be lo/hi: the whole rule is deleted.
+        // `s0` can only be lo/hi: the whole rule is provably empty.
         src.push_str(
             "holdsFor(st1(V)=true, I) :-\n    holdsFor(s0(V)=mid, I1),\n    union_all([I1], I).\n",
         );
@@ -193,9 +182,8 @@ fn scenario() -> impl Strategy<Value = Scenario> {
     )
 }
 
-/// Replays the scenario feed into the interpreter, the plan, and the
-/// optimized plan, checking three-way observational equality at every
-/// milestone.
+/// Replays the scenario feed into the interpreter and the plan, checking
+/// observational equality at every milestone.
 fn run_differential(sc: &Scenario) {
     let desc = EventDescription::parse(&sc.desc_src)
         .unwrap_or_else(|e| panic!("parse: {e}\n{}", sc.desc_src));
@@ -209,28 +197,20 @@ fn run_differential(sc: &Scenario) {
     };
     let mut interp = Engine::new(&compiled, config);
     let mut plan = Engine::with_plan(&compiled, config);
-    let mut optimized = with_optimized(&compiled, config);
     let mut syms = rtec::SymbolTable::new();
     for &(ev, v, t) in &sc.events {
         let term =
             rtec::parser::parse_term(&format!("e{ev}(v{v})"), &mut syms).expect("event parses");
         interp.add_event_from(&term, &syms, t);
         plan.add_event_from(&term, &syms, t);
-        optimized.add_event_from(&term, &syms, t);
     }
     for (i, &milestone) in sc.milestones.iter().enumerate() {
         interp.run_to(milestone);
         plan.run_to(milestone);
-        optimized.run_to(milestone);
         assert_identical(
             &interp,
-            &optimized,
-            &format!("interp vs optimized, milestone {i} (run_to {milestone})"),
-        );
-        assert_identical(
             &plan,
-            &optimized,
-            &format!("plan vs optimized, milestone {i} (run_to {milestone})"),
+            &format!("interp vs plan, milestone {i} (run_to {milestone})"),
         );
     }
 }
@@ -240,106 +220,11 @@ proptest! {
 
     /// Over randomized descriptions salted with statically-empty rules,
     /// disjoint-value queries, undeclared fluents, foldable algebra and
-    /// unreachable triggers, the optimized plan is observationally
-    /// identical to both reference evaluators at every milestone.
+    /// unreachable triggers, the plan is observationally identical to
+    /// the interpreter at every milestone.
     #[test]
-    fn optimized_matches_interpreter_and_plan(sc in scenario()) {
+    fn plan_matches_interpreter_on_salted_descriptions(sc in scenario()) {
         run_differential(&sc);
-    }
-}
-
-// ---------------------------------------------------------------------
-// The optimizer must actually bite
-// ---------------------------------------------------------------------
-
-/// On the fully-loaded description every optimization kind fires: rule
-/// deletion, algebra folding and stratum pre-filters all show up in
-/// `Plan::stats`, and the label flips to `optimized`.
-#[test]
-fn optimizer_bites_on_loaded_description() {
-    let src = render_description(0b11111, &[0, 1, 3], 1, &[0, 1]);
-    let compiled = EventDescription::parse(&src)
-        .expect("parses")
-        .compile()
-        .expect("compiles");
-    let baseline = rtec_plan::Plan::compile(&compiled);
-    let optimized = rtec_analysis::optimized_plan(&compiled);
-    let (before, after) = (baseline.stats(), optimized.stats());
-
-    assert_eq!(before.deleted_rules, 0);
-    assert_eq!(before.folded_inputs, 0);
-    assert_eq!(before.prefiltered_strata, 0);
-
-    // Deleted: contradictory comparison, disjoint-value initiation,
-    // unreachable e9 trigger, contradictory dead0 initiation, and the
-    // disjoint-value static rule.
-    assert_eq!(after.deleted_rules, 5, "{after:?}");
-    assert_eq!(
-        after.simple_rules,
-        before.simple_rules - 4,
-        "four simple rules deleted"
-    );
-    assert_eq!(
-        after.static_rules,
-        before.static_rules - 1,
-        "one static rule deleted"
-    );
-    // Folded: dead0's register leaves st2's union and its
-    // relative-complement subtraction list.
-    assert!(after.folded_inputs >= 2, "{after:?}");
-    assert!(after.prefiltered_strata > 0, "{after:?}");
-}
-
-/// The `ghost` reference (undefined fluent, warns at runtime) is empty
-/// under a closed schema but must never be deleted: the warning is
-/// observable.
-#[test]
-fn warning_bearing_empty_rules_survive() {
-    let src = render_description(0b00100, &[2], 0, &[]);
-    let compiled = EventDescription::parse(&src)
-        .expect("parses")
-        .compile()
-        .expect("compiles");
-    let analysis = rtec_analysis::analyze(&compiled);
-    // The analysis proves the rule empty…
-    assert!(analysis
-        .rules
-        .iter()
-        .any(|r| matches!(&r.empty, Some(rtec_analysis::EmptyReason::NeverHolds { fluent }) if fluent == "ghost/1")));
-    // …but the optimizer keeps it.
-    let baseline = rtec_plan::Plan::compile(&compiled);
-    let optimized = rtec_analysis::optimized_plan(&compiled);
-    assert_eq!(optimized.stats().deleted_rules, 0);
-    assert_eq!(
-        optimized.stats().simple_rules,
-        baseline.stats().simple_rules
-    );
-}
-
-// ---------------------------------------------------------------------
-// Maritime gold description
-// ---------------------------------------------------------------------
-
-/// The full gold maritime description over a generated Brest scenario:
-/// the optimized plan matches the interpreter exactly, windowed and
-/// unwindowed.
-#[test]
-fn optimized_matches_interpreter_on_maritime_gold() {
-    let dataset = maritime::Dataset::generate(&maritime::BrestScenario::small());
-    let compiled = dataset.gold_description().compile().expect("gold compiles");
-    let horizon = dataset.horizon() + 1;
-    for config in [EngineConfig::default(), EngineConfig::windowed(3600)] {
-        let mut interp = Engine::new(&compiled, config);
-        let mut optimized = with_optimized(&compiled, config);
-        dataset.stream.load_into(&mut interp);
-        dataset.stream.load_into(&mut optimized);
-        interp.run_to(horizon);
-        optimized.run_to(horizon);
-        assert_identical(&interp, &optimized, "maritime gold");
-        assert!(
-            !interp.output().is_empty(),
-            "gold run must recognise something for the comparison to bite"
-        );
     }
 }
 
@@ -390,7 +275,6 @@ fn feed_range(engine: &mut Engine<'_>, from: Timepoint, to: Timepoint) {
 enum Mode {
     Interpreter,
     Plan,
-    Optimized,
 }
 
 impl Mode {
@@ -398,7 +282,6 @@ impl Mode {
         match self {
             Mode::Interpreter => Engine::new(compiled, config),
             Mode::Plan => Engine::with_plan(compiled, config),
-            Mode::Optimized => with_optimized(compiled, config),
         }
     }
 
@@ -406,7 +289,6 @@ impl Mode {
         match self {
             Mode::Interpreter => "interpreter",
             Mode::Plan => "plan",
-            Mode::Optimized => "optimized",
         }
     }
 }
@@ -431,17 +313,15 @@ fn run_with_handover(
     assert_eq!(parsed.eval_mode(), Some(first.label()));
 
     let mut resumed = Engine::restore(compiled, config, &parsed).expect("restore");
-    match second {
-        Mode::Interpreter => {}
-        Mode::Plan => resumed.set_evaluator(Box::new(rtec_plan::Plan::compile(compiled))),
-        Mode::Optimized => resumed.set_evaluator(Box::new(rtec_analysis::optimized_plan(compiled))),
+    if second == Mode::Plan {
+        resumed.set_evaluator(Arc::new(rtec_plan::Plan::compile(compiled)));
     }
     feed_range(&mut resumed, 30, 60);
     resumed.run_to(60);
     (doc, observe(&resumed))
 }
 
-/// Checkpoints are portable across all three evaluation modes: every
+/// Checkpoints are portable across both evaluators: every
 /// handover combination finishes with byte-identical state, and the
 /// boundary documents differ only in the informational `eval_mode`
 /// envelope field.
@@ -452,13 +332,13 @@ fn checkpoints_restore_across_all_eval_modes() {
         .compile()
         .expect("compiles");
 
-    let modes = [Mode::Interpreter, Mode::Plan, Mode::Optimized];
+    let modes = [Mode::Interpreter, Mode::Plan];
     let (doc_interp, baseline) = run_with_handover(&compiled, Mode::Interpreter, Mode::Interpreter);
     assert!(
         !baseline.0.is_empty(),
         "scenario must recognise something for the comparison to bite"
     );
-    let mut doc_optimized = None;
+    let mut doc_plan = None;
     for first in modes {
         for second in modes {
             if first == Mode::Interpreter && second == Mode::Interpreter {
@@ -472,18 +352,18 @@ fn checkpoints_restore_across_all_eval_modes() {
                 first.label(),
                 second.label()
             );
-            if first == Mode::Optimized {
-                doc_optimized = Some(doc);
+            if first == Mode::Plan {
+                doc_plan = Some(doc);
             }
         }
     }
 
     // The boundary documents: identical modulo the envelope label.
-    let doc_optimized = doc_optimized.expect("optimized-first handovers ran");
-    assert_ne!(doc_interp, doc_optimized);
+    let doc_plan = doc_plan.expect("plan-first handovers ran");
+    assert_ne!(doc_interp, doc_plan);
     assert_eq!(
         doc_interp.replace("\"eval_mode\":\"interpreter\"", ""),
-        doc_optimized.replace("\"eval_mode\":\"optimized\"", ""),
+        doc_plan.replace("\"eval_mode\":\"plan\"", ""),
         "checkpoint state must not depend on the evaluation mode"
     );
 }

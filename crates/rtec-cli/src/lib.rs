@@ -12,12 +12,10 @@
 //!   abstract interpreter over the compiled plan and print the per-rule
 //!   and per-fluent facts table (value domains, emptiness, reachability,
 //!   productivity; docs/PLAN.md);
-//! * `rtec run <description.rtec> <events.evt> [--window W] [--horizon H]
-//!   [--eval interpreter|plan|optimized]` — recognise composite
-//!   activities over an event file and print the maximal intervals of
-//!   every detected fluent-value pair, with the AST interpreter, the
-//!   compiled evaluation plan, or the analysis-optimized plan
-//!   (docs/PLAN.md);
+//! * `rtec run <description.rtec> <events.evt> [--window W] [--horizon H]`
+//!   — recognise composite activities over an event file with the
+//!   compiled evaluation plan and print the maximal intervals of every
+//!   detected fluent-value pair (docs/PLAN.md);
 //! * `rtec similarity <a.rtec> <b.rtec>` — the paper's event-description
 //!   similarity, with the per-rule matching report.
 //!
@@ -36,6 +34,7 @@ pub mod cluster;
 use rtec::declarations::Declarations;
 use rtec::stream::InputStream;
 use rtec::{Engine, EngineConfig, EventDescription, Timepoint};
+use rtec_plan::WithPlan as _;
 use std::fmt::Write as _;
 
 /// CLI failure: a message and a suggested exit code.
@@ -83,8 +82,7 @@ pub enum Command {
         /// Path to the event description.
         desc: String,
     },
-    /// `run <desc> <events> [--window W] [--horizon H] [--eval MODE]
-    /// [--profile]`
+    /// `run <desc> <events> [--window W] [--horizon H] [--profile]`
     Run {
         /// Path to the event description.
         desc: String,
@@ -94,8 +92,6 @@ pub enum Command {
         window: Option<Timepoint>,
         /// Optional horizon (defaults to the last event).
         horizon: Option<Timepoint>,
-        /// Window evaluator (defaults to `RTEC_EVAL`, then interpreter).
-        eval: rtec::engine::EvalMode,
         /// Append a per-rule evaluation profile to the output.
         profile: bool,
     },
@@ -185,7 +181,7 @@ USAGE:
     rtec check <description.rtec> [--format text|json] [--deny-warnings]
     rtec analyze <description.rtec>
     rtec run <description.rtec> <events.evt> [--window W] [--horizon H]
-             [--eval interpreter|plan|optimized] [--profile]
+             [--profile]
     rtec similarity <a.rtec> <b.rtec>
     rtec serve [--addr HOST:PORT] [--threads N] [--stdio]
                [--metrics-addr HOST:PORT] [--checkpoint-dir DIR]
@@ -229,11 +225,9 @@ into `run` or `stream`.
 `check --deny-warnings` exits nonzero when any warning fires (for CI
 gates); `analyze` prints the abstract-interpretation facts per rule and
 fluent (value domains, emptiness proofs, reachability; docs/PLAN.md).
-`run --eval plan` evaluates windows with the compiled plan instead of
-the AST interpreter (observationally identical; see docs/PLAN.md) and
-`--eval optimized` adds the analysis-driven plan optimizer on top; the
-RTEC_EVAL environment variable sets the default. `run --profile`
-appends a per-rule self-time/call/interval-op table to the output
+`run` evaluates windows with the compiled plan (observationally
+identical to the AST interpreter, the reference semantics; see
+docs/PLAN.md). `run --profile` appends a per-rule self-time/call/interval-op table to the output
 without changing what is recognised (docs/PROFILING.md).
 Diagnostics are JSON-line events on stderr, filtered by RTEC_LOG
 (error|warn|info|debug; default info).
@@ -299,7 +293,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .clone();
             let mut window = None;
             let mut horizon = None;
-            let mut eval = rtec::engine::EvalMode::from_env();
             let mut profile = false;
             while let Some(flag) = it.next() {
                 if flag == "--profile" {
@@ -309,15 +302,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 let value = it
                     .next()
                     .ok_or_else(|| CliError::new(format!("{flag}: missing value"), 2))?;
-                if flag == "--eval" {
-                    eval = rtec::engine::EvalMode::parse(value).ok_or_else(|| {
-                        CliError::new(
-                            format!("--eval {value}: expected interpreter|plan|optimized"),
-                            2,
-                        )
-                    })?;
-                    continue;
-                }
                 let parsed: Timepoint = value
                     .parse()
                     .map_err(|e| CliError::new(format!("{flag} {value}: {e}"), 2))?;
@@ -332,7 +316,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 events,
                 window,
                 horizon,
-                eval,
                 profile,
             })
         }
@@ -752,7 +735,6 @@ pub fn run_source(
     events_src: &str,
     window: Option<Timepoint>,
     horizon: Option<Timepoint>,
-    eval: rtec::engine::EvalMode,
     profile: bool,
 ) -> Result<String, CliError> {
     let desc = EventDescription::parse_lenient(desc_src);
@@ -765,18 +747,7 @@ pub fn run_source(
         Some(w) => EngineConfig::windowed(w),
         None => EngineConfig::default(),
     };
-    let mut engine = match eval {
-        rtec::engine::EvalMode::Interpreter => Engine::new(&compiled, config),
-        rtec::engine::EvalMode::Plan => {
-            use rtec_plan::WithPlan as _;
-            Engine::with_plan(&compiled, config)
-        }
-        rtec::engine::EvalMode::Optimized => Engine::with_evaluator(
-            &compiled,
-            config,
-            Box::new(rtec_analysis::optimized_plan(&compiled)),
-        ),
-    };
+    let mut engine = Engine::with_plan(&compiled, config);
     if profile {
         engine.enable_profiler();
     }
@@ -1104,45 +1075,21 @@ mod tests {
                 events: "e.evt".into(),
                 window: Some(3600),
                 horizon: None,
-                eval: rtec::engine::EvalMode::from_env(),
                 profile: false
             }
         );
         assert_eq!(
-            parse_args(&s(&[
-                "run",
-                "a.rtec",
-                "e.evt",
-                "--eval",
-                "plan",
-                "--profile"
-            ]))
-            .unwrap(),
+            parse_args(&s(&["run", "a.rtec", "e.evt", "--profile"])).unwrap(),
             Command::Run {
                 desc: "a.rtec".into(),
                 events: "e.evt".into(),
                 window: None,
                 horizon: None,
-                eval: rtec::engine::EvalMode::Plan,
                 profile: true
             }
         );
-        assert_eq!(
-            parse_args(&s(&["run", "a.rtec", "e.evt", "--eval", "optimized"])).unwrap(),
-            Command::Run {
-                desc: "a.rtec".into(),
-                events: "e.evt".into(),
-                window: None,
-                horizon: None,
-                eval: rtec::engine::EvalMode::Optimized,
-                profile: false
-            }
-        );
-        let err = parse_args(&s(&["run", "a.rtec", "e.evt", "--eval", "magic"])).unwrap_err();
-        assert!(
-            err.message.contains("interpreter|plan|optimized"),
-            "{err:?}"
-        );
+        // The evaluator switch is gone: `--eval` is an unknown flag.
+        assert!(parse_args(&s(&["run", "a.rtec", "e.evt", "--eval", "plan"])).is_err());
         assert_eq!(
             parse_args(&s(&["similarity", "a.rtec", "b.rtec"])).unwrap(),
             Command::Similarity {
@@ -1634,50 +1581,28 @@ sourcemmsi,speedoverground,courseoverground,trueheading,lon,lat,t
 
     #[test]
     fn run_end_to_end() {
-        use rtec::engine::EvalMode;
         let events = "10 entersArea(v1, a1)\n30 leavesArea(v1, a1)\n";
-        let out = run_source(DESC, events, None, None, EvalMode::Interpreter, false).unwrap();
+        let out = run_source(DESC, events, None, None, false).unwrap();
         assert!(
             out.contains("holdsFor(inside(v1, a1)=true) = [[11, 31)]"),
             "{out}"
         );
         assert!(out.contains("2 events in 1 window(s)"));
         // Windowed run gives the same intervals.
-        let windowed =
-            run_source(DESC, events, Some(7), None, EvalMode::Interpreter, false).unwrap();
+        let windowed = run_source(DESC, events, Some(7), None, false).unwrap();
         assert!(windowed.contains("[[11, 31)]"));
-        // The plan and optimized evaluators render byte-identical
-        // output in both shapes.
-        for eval in [EvalMode::Plan, EvalMode::Optimized] {
-            assert_eq!(
-                out,
-                run_source(DESC, events, None, None, eval, false).unwrap(),
-                "{eval:?}"
-            );
-            assert_eq!(
-                windowed,
-                run_source(DESC, events, Some(7), None, eval, false).unwrap(),
-                "{eval:?}"
-            );
-        }
     }
 
     #[test]
     fn run_profile_appends_a_table_without_changing_rows() {
-        use rtec::engine::EvalMode;
         let events = "10 entersArea(v1, a1)\n30 leavesArea(v1, a1)\n";
-        for eval in [EvalMode::Interpreter, EvalMode::Plan, EvalMode::Optimized] {
-            let plain = run_source(DESC, events, Some(7), None, eval, false).unwrap();
-            let profiled = run_source(DESC, events, Some(7), None, eval, true).unwrap();
-            // The profiled output is the plain output plus the table.
-            assert!(profiled.starts_with(&plain), "{eval:?}: rows diverged");
-            let table = &profiled[plain.len()..];
-            assert!(table.contains("rule"), "{eval:?}: no table header: {table}");
-            assert!(
-                table.contains("inside/2"),
-                "{eval:?}: no attributed rule: {table}"
-            );
-        }
+        let plain = run_source(DESC, events, Some(7), None, false).unwrap();
+        let profiled = run_source(DESC, events, Some(7), None, true).unwrap();
+        // The profiled output is the plain output plus the table.
+        assert!(profiled.starts_with(&plain), "rows diverged");
+        let table = &profiled[plain.len()..];
+        assert!(table.contains("rule"), "no table header: {table}");
+        assert!(table.contains("inside/2"), "no attributed rule: {table}");
     }
 
     #[test]

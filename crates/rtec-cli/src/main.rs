@@ -141,11 +141,9 @@ fn main() -> ExitCode {
             events,
             window,
             horizon,
-            eval,
             profile,
-        } => read(&desc).and_then(|d| {
-            read(&events).and_then(|e| run_source(&d, &e, window, horizon, eval, profile))
-        }),
+        } => read(&desc)
+            .and_then(|d| read(&events).and_then(|e| run_source(&d, &e, window, horizon, profile))),
         Command::Similarity { a, b } => {
             read(&a).and_then(|sa| read(&b).map(|sb| similarity_sources(&sa, &sb)))
         }

@@ -238,11 +238,4 @@ pub struct Stratum {
     pub simple: Vec<LoweredSimple>,
     /// Lowered `holdsFor` rules, in description order.
     pub statics: Vec<LoweredStatic>,
-    /// Optimizer-installed trigger pre-filter: the deduplicated first
-    /// `happensAt` signatures of the stratum's simple rules. When
-    /// `Some` and none of the signatures occur in a window's event
-    /// index, the per-rule scan is skipped wholesale (interval
-    /// assembly and the inertia carry still run). `None` on
-    /// unoptimized plans.
-    pub prefilter: Option<Vec<(Symbol, usize)>>,
 }

@@ -20,11 +20,13 @@
 //!
 //! The resulting [`Plan`] implements [`WindowEvaluator`] and is
 //! installed with [`WithPlan::with_plan`] or
-//! [`rtec::engine::Engine::set_evaluator`]; `RTEC_EVAL=plan` selects it
-//! throughout the toolchain. A plan is *observationally identical* to
-//! the interpreter — same derived intervals, same inertia carries, same
-//! warnings in the same order — so checkpoints and recognition output
-//! are byte-for-byte independent of the evaluation mode.
+//! [`rtec::engine::Engine::set_evaluator`]. It is what the service and
+//! the CLI run: a session compiles one plan when it opens and shares it
+//! with every shard engine. A plan is *observationally identical* to
+//! the interpreter, which stays as the reference semantics — same
+//! derived intervals, same inertia carries, same warnings in the same
+//! order — so checkpoints and recognition output are byte-for-byte
+//! independent of the evaluator.
 //!
 //! ```
 //! use rtec::description::EventDescription;
@@ -63,21 +65,18 @@ mod exec;
 pub mod frame;
 pub mod ir;
 pub mod lower;
-pub mod optimize;
-
-pub use optimize::OptimizeProofs;
 
 use crate::ir::Stratum;
 use rtec::ast::FluentKey;
-use rtec::background::FactStore;
 use rtec::description::CompiledDescription;
-use rtec::engine::{Engine, EngineConfig, WindowEvaluator};
-use rtec::eval::cache::FluentCache;
+use rtec::engine::{Engine, EngineConfig, EvalCtx, WindowEvaluator};
 use rtec::eval::events::EventIndex;
-use rtec::eval::simple::InertiaState;
-use rtec::eval::WarningSink;
-use rtec::symbol::{Symbol, SymbolTable};
+use rtec_obs::profile::RuleKind;
 use std::collections::HashSet;
+use std::sync::Arc;
+
+/// The label a plan records in checkpoints and reports in `stats`.
+pub const LABEL: &str = "plan";
 
 /// Size and fusion counters of a compiled plan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -95,36 +94,19 @@ pub struct PlanStats {
     /// Malformed simple rules dropped at lowering (the interpreter skips
     /// the same rules defensively at run time).
     pub dropped_rules: usize,
-    /// Rules deleted by the analysis-driven optimizer (statically empty
-    /// or unreachable, with a warning-free body). Zero on unoptimized
-    /// plans.
-    pub deleted_rules: usize,
-    /// Interval-algebra input registers folded away by the optimizer
-    /// because their producer is statically empty. Zero on unoptimized
-    /// plans.
-    pub folded_inputs: usize,
-    /// Strata carrying an optimizer-installed trigger-signature
-    /// pre-filter. Zero on unoptimized plans.
-    pub prefiltered_strata: usize,
 }
 
-/// A compiled, self-contained evaluation plan.
-///
-/// The plan owns copies of everything it needs (symbols, facts, lowered
-/// rules), so it is `'static` and can be boxed into an engine whose
-/// description it was compiled from. Compiling against one description
-/// and installing into an engine over another is a logic error; the
-/// differential tests only ever pair them.
+/// A compiled evaluation plan: the lowered strata and the set of
+/// defined fluents. Symbols, the `=` symbol and background facts are
+/// read from the description through [`EvalCtx`] at evaluation time, so
+/// a plan holds no copy of them and one plan serves every engine over
+/// its description. Installing a plan into an engine over another
+/// description is a logic error; the differential tests only ever pair
+/// them.
 pub struct Plan {
-    symbols: SymbolTable,
-    eq: Symbol,
-    facts: FactStore,
     defined: HashSet<FluentKey>,
     strata: Vec<Stratum>,
     stats: PlanStats,
-    /// Evaluator label recorded in checkpoints: `"plan"` after
-    /// [`Plan::compile`], `"optimized"` after [`Plan::optimize`].
-    label: &'static str,
 }
 
 impl Plan {
@@ -139,7 +121,6 @@ impl Plan {
                 has_static: desc.static_by_fluent.contains_key(key),
                 simple: Vec::new(),
                 statics: Vec::new(),
-                prefilter: None,
             };
             if let Some(rids) = desc.simple_by_fluent.get(key) {
                 for &rid in rids {
@@ -173,13 +154,9 @@ impl Plan {
             .copied()
             .collect();
         Plan {
-            symbols: desc.symbols.clone(),
-            eq: desc.sys.eq,
-            facts: desc.facts.clone(),
             defined,
             strata,
             stats,
-            label: "plan",
         }
     }
 
@@ -193,193 +170,54 @@ impl Plan {
         &self.strata
     }
 
-    /// The plan's interned symbol table (a copy of the description's).
-    pub fn symbols(&self) -> &SymbolTable {
-        &self.symbols
-    }
-
-    /// The plan's background fact store (a copy of the description's).
-    pub fn facts(&self) -> &FactStore {
-        &self.facts
-    }
-
     /// The fluent keys defined by some rule of the description.
     pub fn defined(&self) -> &HashSet<FluentKey> {
         &self.defined
     }
 
-    /// The rules of `stratum` that can fire given this window's events:
-    /// the full slice normally, the empty slice when an
-    /// optimizer-installed pre-filter proves no rule's trigger signature
-    /// occurs in the index. Running `eval_simple_stratum` over an empty
-    /// slice still performs interval assembly and the inertia carry, so
-    /// the skip is observationally identical.
-    fn live_simple<'s>(stratum: &'s Stratum, events: &EventIndex) -> &'s [ir::LoweredSimple] {
-        if let Some(sigs) = &stratum.prefilter {
-            if sigs.iter().all(|sig| events.all(*sig).is_empty()) {
-                return &[];
-            }
+    /// The read-only execution context of one stratum over `events`.
+    fn exec_ctx<'a>(
+        &'a self,
+        desc: &'a CompiledDescription,
+        events: &'a EventIndex,
+    ) -> exec::ExecCtx<'a> {
+        exec::ExecCtx {
+            symbols: &desc.symbols,
+            eq: desc.sys.eq,
+            facts: &desc.facts,
+            defined: &self.defined,
+            events,
         }
-        &stratum.simple
     }
 }
 
 impl WindowEvaluator for Plan {
     fn label(&self) -> &'static str {
-        self.label
+        LABEL
     }
 
-    fn evaluate_window(
-        &mut self,
-        events: &EventIndex,
-        cache: &mut FluentCache<'_>,
-        inertia: &mut InertiaState,
-        warnings: &mut WarningSink,
-    ) {
-        let ctx = exec::ExecCtx {
-            symbols: &self.symbols,
-            eq: self.eq,
-            facts: &self.facts,
-            defined: &self.defined,
-            events,
-        };
+    fn evaluate(&self, mut ctx: EvalCtx<'_, '_>) {
+        let desc = ctx.desc;
         for stratum in &self.strata {
+            let key = stratum.key;
             if stratum.has_simple {
-                exec::eval_simple_stratum(
-                    &ctx,
-                    stratum.key,
-                    Plan::live_simple(stratum, events),
-                    cache,
-                    inertia,
-                    warnings,
-                );
+                let exec = self.exec_ctx(desc, ctx.events_for(key));
+                ctx.stratum(key, RuleKind::Simple, |c| {
+                    exec::eval_simple_stratum(
+                        &exec,
+                        key,
+                        &stratum.simple,
+                        c.cache,
+                        c.inertia,
+                        c.warnings,
+                    )
+                });
             }
             if stratum.has_static {
-                exec::eval_static_stratum(&ctx, &stratum.statics, cache, warnings);
-            }
-        }
-    }
-
-    /// Delta-aware evaluation: strata whose simple fluent is provably
-    /// unaffected by the window's events scan an empty index — zero
-    /// candidates, so only the inertia carry is folded, identically to
-    /// scanning the real index (the engine's delta analysis guarantees
-    /// no rule of the key matches any event). Statics always run: they
-    /// read the cache and input intervals, not the event index.
-    fn evaluate_window_incremental(
-        &mut self,
-        events: &EventIndex,
-        delta: &rtec::eval::delta::WindowDelta,
-        cache: &mut FluentCache<'_>,
-        inertia: &mut InertiaState,
-        warnings: &mut WarningSink,
-        mut profile: Option<&mut rtec_obs::profile::WindowProfile>,
-    ) {
-        let empty = EventIndex::default();
-        let ctx = exec::ExecCtx {
-            symbols: &self.symbols,
-            eq: self.eq,
-            facts: &self.facts,
-            defined: &self.defined,
-            events,
-        };
-        let ctx_clean = exec::ExecCtx {
-            symbols: &self.symbols,
-            eq: self.eq,
-            facts: &self.facts,
-            defined: &self.defined,
-            events: &empty,
-        };
-        for stratum in &self.strata {
-            if stratum.has_simple {
-                let simple_ctx = if delta.is_dirty(stratum.key) {
-                    &ctx
-                } else {
-                    &ctx_clean
-                };
-                let ops_before = rtec::profile::interval_ops();
-                let started = std::time::Instant::now();
-                exec::eval_simple_stratum(
-                    simple_ctx,
-                    stratum.key,
-                    Plan::live_simple(stratum, simple_ctx.events),
-                    cache,
-                    inertia,
-                    warnings,
-                );
-                if let Some(p) = profile.as_deref_mut() {
-                    p.record(
-                        rtec::profile::rule_name(&self.symbols, stratum.key),
-                        rtec_obs::profile::RuleKind::Simple,
-                        started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                        rtec::profile::interval_ops().wrapping_sub(ops_before),
-                    );
-                }
-            }
-            if stratum.has_static {
-                let ops_before = rtec::profile::interval_ops();
-                let started = std::time::Instant::now();
-                exec::eval_static_stratum(&ctx, &stratum.statics, cache, warnings);
-                if let Some(p) = profile.as_deref_mut() {
-                    p.record(
-                        rtec::profile::rule_name(&self.symbols, stratum.key),
-                        rtec_obs::profile::RuleKind::Static,
-                        started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                        rtec::profile::interval_ops().wrapping_sub(ops_before),
-                    );
-                }
-            }
-        }
-    }
-
-    fn evaluate_window_profiled(
-        &mut self,
-        events: &EventIndex,
-        cache: &mut FluentCache<'_>,
-        inertia: &mut InertiaState,
-        warnings: &mut WarningSink,
-        profile: &mut rtec_obs::profile::WindowProfile,
-    ) {
-        // Identical control flow to `evaluate_window`, with a timer and
-        // an interval-op snapshot around each stratum. Attribution must
-        // never reorder or alter the calls — observational identity to
-        // the unprofiled path is part of the evaluator contract.
-        let ctx = exec::ExecCtx {
-            symbols: &self.symbols,
-            eq: self.eq,
-            facts: &self.facts,
-            defined: &self.defined,
-            events,
-        };
-        for stratum in &self.strata {
-            if stratum.has_simple {
-                let ops_before = rtec::profile::interval_ops();
-                let started = std::time::Instant::now();
-                exec::eval_simple_stratum(
-                    &ctx,
-                    stratum.key,
-                    Plan::live_simple(stratum, events),
-                    cache,
-                    inertia,
-                    warnings,
-                );
-                profile.record(
-                    rtec::profile::rule_name(&self.symbols, stratum.key),
-                    rtec_obs::profile::RuleKind::Simple,
-                    started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                    rtec::profile::interval_ops().wrapping_sub(ops_before),
-                );
-            }
-            if stratum.has_static {
-                let ops_before = rtec::profile::interval_ops();
-                let started = std::time::Instant::now();
-                exec::eval_static_stratum(&ctx, &stratum.statics, cache, warnings);
-                profile.record(
-                    rtec::profile::rule_name(&self.symbols, stratum.key),
-                    rtec_obs::profile::RuleKind::Static,
-                    started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                    rtec::profile::interval_ops().wrapping_sub(ops_before),
-                );
+                let exec = self.exec_ctx(desc, ctx.events());
+                ctx.stratum(key, RuleKind::Static, |c| {
+                    exec::eval_static_stratum(&exec, &stratum.statics, c.cache, c.warnings)
+                });
             }
         }
     }
@@ -389,12 +227,12 @@ impl WindowEvaluator for Plan {
 /// compiled from its description.
 pub trait WithPlan<'a>: Sized {
     /// Equivalent to `Engine::with_evaluator(desc, config,
-    /// Box::new(Plan::compile(desc)))`.
+    /// Arc::new(Plan::compile(desc)))`.
     fn with_plan(desc: &'a CompiledDescription, config: EngineConfig) -> Self;
 }
 
 impl<'a> WithPlan<'a> for Engine<'a> {
     fn with_plan(desc: &'a CompiledDescription, config: EngineConfig) -> Engine<'a> {
-        Engine::with_evaluator(desc, config, Box::new(Plan::compile(desc)))
+        Engine::with_evaluator(desc, config, Arc::new(Plan::compile(desc)))
     }
 }

@@ -322,7 +322,7 @@ fn run_with_handover(
 
     let mut resumed = Engine::restore(compiled, config, &parsed).expect("restore");
     if second_plan {
-        resumed.set_evaluator(Box::new(rtec_plan::Plan::compile(compiled)));
+        resumed.set_evaluator(std::sync::Arc::new(rtec_plan::Plan::compile(compiled)));
     }
     feed_range(&mut resumed, 30, 60);
     resumed.run_to(60);
@@ -366,4 +366,50 @@ fn checkpoints_restore_across_eval_modes() {
         doc_plan.replace("\"eval_mode\":\"plan\"", ""),
         "checkpoint state must not depend on the evaluation mode"
     );
+}
+
+/// The profiler is a pure observer on the plan path too, and it
+/// attributes the same strata as on the interpreter: profiled and
+/// unprofiled plan engines are observationally identical, and both
+/// evaluators report the same rules, kinds and call counts.
+#[test]
+fn plan_profiler_attributes_without_perturbing_output() {
+    let compiled = EventDescription::parse(CKPT_DESC)
+        .expect("parses")
+        .compile()
+        .expect("compiles");
+    let run = |plan: bool, profiled: bool| {
+        let config = EngineConfig::windowed(10);
+        let mut engine = if plan {
+            Engine::with_plan(&compiled, config)
+        } else {
+            Engine::new(&compiled, config)
+        };
+        if profiled {
+            engine.enable_profiler();
+        }
+        feed_range(&mut engine, 0, 60);
+        engine.run_to(60);
+        (observe(&engine), engine.profile().cloned())
+    };
+    let shape = |profile: rtec_obs::profile::ProfileAggregate| {
+        let mut rows: Vec<(String, &'static str, u64)> = profile
+            .sorted()
+            .into_iter()
+            .map(|e| (e.name, e.kind.as_str(), e.cost.calls))
+            .collect();
+        rows.sort();
+        rows
+    };
+    let (plain, no_profile) = run(true, false);
+    let (profiled, profile) = run(true, true);
+    assert!(no_profile.is_none());
+    assert_eq!(plain, profiled, "profiling perturbed the plan's output");
+    let profile = profile.expect("profiler enabled");
+    // Windows end at 9, 19, ..., 59 and 60.
+    assert_eq!(profile.windows, 7);
+    let (_, interp_profile) = run(false, true);
+    let plan_rows = shape(profile);
+    assert!(!plan_rows.is_empty());
+    assert_eq!(plan_rows, shape(interp_profile.expect("profiler enabled")));
 }

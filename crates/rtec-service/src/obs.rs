@@ -18,7 +18,7 @@
 //! | `rtec_service_intervals_ingested_total` | counter | — |
 //! | `rtec_service_backpressure_waits_total` | counter | — |
 //! | `rtec_service_ticks_total` | counter | — |
-//! | `rtec_service_tick_duration_us` | histogram | `eval=interpreter\|plan\|optimized` |
+//! | `rtec_service_tick_duration_us` | histogram | — |
 //! | `rtec_recognition_latency_us` | histogram | `stage=admission\|release` |
 //! | `rtec_service_query_rows_total` | counter | — |
 //! | `rtec_service_faults_injected_total` | counter | — |
@@ -47,7 +47,6 @@
 //! [`rtec_obs::profile::bounded_samples`]), so scrape cardinality stays
 //! capped however many rules a description defines.
 
-use rtec::engine::EvalMode;
 use rtec::reorder::DeadLetterReason;
 use rtec_obs::{Counter, Histogram};
 use serde_json::Value;
@@ -68,15 +67,8 @@ pub struct ServiceMetrics {
     pub backpressure_waits: Arc<Counter>,
     /// Ticks served across all sessions.
     pub ticks: Arc<Counter>,
-    /// Tick wall-clock latency (microseconds), sessions on the AST
-    /// interpreter.
-    pub tick_duration_interpreter: Arc<Histogram>,
-    /// Tick wall-clock latency (microseconds), sessions on the compiled
-    /// plan.
-    pub tick_duration_plan: Arc<Histogram>,
-    /// Tick wall-clock latency (microseconds), sessions on the
-    /// analysis-optimized plan.
-    pub tick_duration_optimized: Arc<Histogram>,
+    /// Tick wall-clock latency (microseconds).
+    pub tick_duration: Arc<Histogram>,
     /// End-to-end recognition latency from service admission to the
     /// tick that evaluated the event's timepoint.
     pub recognition_latency_admission: Arc<Histogram>,
@@ -150,20 +142,10 @@ impl ServiceMetrics {
                 &[],
             ),
             ticks: r.counter("rtec_service_ticks_total", "Ticks served.", &[]),
-            tick_duration_interpreter: r.histogram(
+            tick_duration: r.histogram(
                 "rtec_service_tick_duration_us",
                 "Tick wall-clock latency (microseconds).",
-                &[("eval", "interpreter")],
-            ),
-            tick_duration_plan: r.histogram(
-                "rtec_service_tick_duration_us",
-                "Tick wall-clock latency (microseconds).",
-                &[("eval", "plan")],
-            ),
-            tick_duration_optimized: r.histogram(
-                "rtec_service_tick_duration_us",
-                "Tick wall-clock latency (microseconds).",
-                &[("eval", "optimized")],
+                &[],
             ),
             recognition_latency_admission: r.histogram(
                 "rtec_recognition_latency_us",
@@ -257,15 +239,6 @@ impl ServiceMetrics {
                 "Sessions restored from checkpoint and journal tail.",
                 &[],
             ),
-        }
-    }
-
-    /// The `rtec_service_tick_duration_us` handle for one evaluator.
-    pub fn tick_duration(&self, eval: EvalMode) -> &Arc<Histogram> {
-        match eval {
-            EvalMode::Interpreter => &self.tick_duration_interpreter,
-            EvalMode::Plan => &self.tick_duration_plan,
-            EvalMode::Optimized => &self.tick_duration_optimized,
         }
     }
 

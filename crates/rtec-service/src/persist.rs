@@ -27,9 +27,8 @@ use crate::router::RouterSnapshot;
 use crate::session::{Session, SessionConfig, SessionStats};
 use rtec::checkpoint::{
     read_engine_stats, read_envelope, read_event, read_term, write_engine_stats, write_envelope,
-    write_event, write_term, EngineCheckpoint,
+    write_event, write_term, EngineCheckpoint, EVALUATOR_LABELS,
 };
-use rtec::engine::EvalMode;
 use rtec::json::{push_counter, push_i64, push_quoted, push_seq, Cursor};
 use rtec::reorder::{DeadLetterReason, ReorderSnapshot};
 use std::path::{Path, PathBuf};
@@ -149,8 +148,10 @@ impl SessionCheckpoint {
         let bool = |out: &mut String, b: bool| out.push_str(if b { "true" } else { "false" });
         out.push_str("{\"config\":{\"dedup\":");
         bool(out, config.dedup);
+        // The evaluator label: informational, always the plan's since
+        // every session runs it; kept so documents stay byte-stable.
         out.push_str(",\"eval\":");
-        push_quoted(out, config.eval.as_str());
+        push_quoted(out, rtec_plan::LABEL);
         out.push_str(",\"incremental\":");
         bool(out, config.incremental);
         out.push_str(",\"max_buffered_bytes\":");
@@ -350,13 +351,13 @@ fn read_config(c: &mut Cursor<'_>) -> Result<SessionConfig, String> {
     // the resilient-ingestion layer simply lack them.
     let dedup = c.opt_field("dedup", Cursor::bool)?.unwrap_or(false);
     // Lenient on read (older checkpoints lack it). Engine state is
-    // mode-agnostic, so restoring under a different mode than the one
-    // that wrote the checkpoint is sound; the recorded mode wins over
-    // the environment when present.
-    let eval = match c.opt_field("eval", Cursor::string)? {
-        None => SessionConfig::default().eval,
-        Some(mode) => EvalMode::parse(&mode).ok_or_else(|| c.err("bad eval mode"))?,
-    };
+    // evaluator-agnostic, so a session written under any known
+    // evaluator restores onto the plan; an unknown label is refused.
+    if let Some(label) = c.opt_field("eval", Cursor::string)? {
+        if !EVALUATOR_LABELS.contains(&label.as_str()) {
+            return Err(c.err("bad eval mode"));
+        }
+    }
     // Lenient on read: checkpoints written before sliding evaluation
     // lack `incremental` and `slide` (tumbling, full recompute).
     let incremental = c.opt_field("incremental", Cursor::bool)?.unwrap_or(false);
@@ -387,7 +388,6 @@ fn read_config(c: &mut Cursor<'_>) -> Result<SessionConfig, String> {
         max_events_per_tick,
         max_buffered_bytes,
         tick_deadline_ms,
-        eval,
         profile,
         slow_tick_ms,
     })

@@ -53,17 +53,6 @@ pub fn opt_int_field(req: &Value, name: &str) -> Result<Option<Timepoint>, Strin
     }
 }
 
-/// An optional string field.
-pub fn opt_str_field<'v>(req: &'v Value, name: &str) -> Result<Option<&'v str>, String> {
-    match req.get(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| format!("non-string field \"{name}\"")),
-    }
-}
-
 /// An optional boolean field (absent/null defaults to `false`).
 pub fn opt_bool_field(req: &Value, name: &str) -> Result<bool, String> {
     match req.get(name) {

@@ -17,8 +17,8 @@
 use crate::journal::{self, FsyncPolicy, Journal, JournalRecord};
 use crate::persist::{self, SessionCheckpoint};
 use crate::protocol::{
-    codes, command, counter, int_field, opt_bool_field, opt_int_field, opt_str_field,
-    parse_request, str_field, OkFrame, ServiceError,
+    codes, command, counter, int_field, opt_bool_field, opt_int_field, parse_request, str_field,
+    OkFrame, ServiceError,
 };
 use crate::session::{Ingest, Session, SessionConfig};
 use parking_lot::Mutex;
@@ -302,11 +302,6 @@ impl Registry {
         if let Some(deadline) = opt_int_field(req, "tick_deadline_ms")? {
             let deadline = u64::try_from(deadline).map_err(|_| "tick_deadline_ms must be >= 0")?;
             config.tick_deadline_ms = Some(deadline);
-        }
-        if let Some(eval) = opt_str_field(req, "eval")? {
-            config.eval = rtec::engine::EvalMode::parse(eval).ok_or_else(|| {
-                format!("unknown eval mode \"{eval}\" (interpreter|plan|optimized)")
-            })?;
         }
         // Profiling defaults on; `"profile": false` opts a session out.
         if let Some(v) = req.get("profile") {

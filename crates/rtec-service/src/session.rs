@@ -4,7 +4,8 @@
 //!
 //! The lifecycle mirrors how an RTEC deployment is operated:
 //!
-//! 1. **open** — compile the description, spawn `shards` workers;
+//! 1. **open** — compile the description and its evaluation plan once,
+//!    spawn `shards` workers sharing that plan;
 //! 2. **ingest** — events / input intervals are parsed against the
 //!    master table, routed by entity component, and pushed through each
 //!    shard's bounded queue (blocking, counted, when full);
@@ -42,7 +43,7 @@ use crate::worker::{ShardWorker, WorkerMsg, WorkerOptions};
 use crossbeam::channel::bounded;
 use rtec::checkpoint::EngineCheckpoint;
 use rtec::description::{CompiledDescription, EventDescription};
-use rtec::engine::{EngineConfig, EngineStats, EvalMode, RecognitionOutput};
+use rtec::engine::{EngineConfig, EngineStats, RecognitionOutput};
 use rtec::interval::IntervalList;
 use rtec::parallel::{FirstArgPartitioner, Partitioner};
 use rtec::reorder::{DeadLetterLedger, DeadLetterReason, ReorderBuffer, ReorderSnapshot};
@@ -50,6 +51,7 @@ use rtec::term::{GroundFvp, Term};
 use rtec::{SymbolTable, Timepoint};
 use rtec_obs::profile::ProfileAggregate;
 use rtec_obs::Histogram;
+use rtec_plan::Plan;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -100,12 +102,6 @@ pub struct SessionConfig {
     /// exceeds it reports `degraded: true` (the tick still completes —
     /// the deadline marks the reply, it does not abort evaluation).
     pub tick_deadline_ms: Option<u64>,
-    /// Window-evaluation strategy for the shard engines: the AST
-    /// interpreter, or a compiled plan (`rtec-plan`). The two are
-    /// observationally identical; the default follows the `RTEC_EVAL`
-    /// environment variable so whole test suites can be re-run under
-    /// either mode without code changes.
-    pub eval: EvalMode,
     /// Per-rule evaluation profiling: shard engines attribute self
     /// wall-time, call counts and interval-algebra ops to each fluent,
     /// the session merges them per tick, and recognition-latency stamps
@@ -135,7 +131,6 @@ impl Default for SessionConfig {
             max_events_per_tick: None,
             max_buffered_bytes: None,
             tick_deadline_ms: None,
-            eval: EvalMode::from_env(),
             profile: true,
             slow_tick_ms: None,
         }
@@ -217,6 +212,9 @@ impl ShardState {
 pub struct Session {
     name: String,
     desc: Arc<CompiledDescription>,
+    /// The evaluation plan compiled from `desc` when the session opened
+    /// (or was restored); every shard engine, respawns included, runs it.
+    plan: Arc<Plan>,
     /// Master symbol table: description symbols plus every constant seen
     /// on the stream, append-only. All routed terms are interned here.
     master: SymbolTable,
@@ -278,12 +276,13 @@ impl Session {
         if config.shards == 0 {
             return Err("shards must be >= 1".into());
         }
+        let plan = Arc::new(Plan::compile(&compiled));
         let workers = (0..config.shards)
             .map(|shard| {
                 ShardWorker::spawn(
                     Arc::clone(&compiled),
                     engine_config,
-                    worker_options(&config),
+                    worker_options(&plan, &config),
                     config.queue_capacity,
                     shard,
                 )
@@ -305,6 +304,7 @@ impl Session {
             name,
             master: compiled.symbols.clone(),
             desc: compiled,
+            plan,
             workers,
             shard_states: (0..config.shards).map(|_| ShardState::new()).collect(),
             router: Router::new(config.shards),
@@ -365,6 +365,7 @@ impl Session {
             }
         }
         let router = Router::restore(router)?;
+        let plan = Arc::new(Plan::compile(&compiled));
         let workers = shard_checkpoints
             .iter()
             .enumerate()
@@ -372,7 +373,7 @@ impl Session {
                 ShardWorker::respawn(
                     Arc::clone(&compiled),
                     engine_config,
-                    worker_options(&config),
+                    worker_options(&plan, &config),
                     config.queue_capacity,
                     shard,
                     cp.clone(),
@@ -393,6 +394,7 @@ impl Session {
             name,
             master,
             desc: compiled,
+            plan,
             workers,
             shard_states: shard_checkpoints
                 .into_iter()
@@ -740,7 +742,7 @@ impl Session {
             Some(cp) => ShardWorker::respawn(
                 Arc::clone(&self.desc),
                 self.engine_config,
-                worker_options(&self.config),
+                worker_options(&self.plan, &self.config),
                 self.config.queue_capacity,
                 shard,
                 cp.clone(),
@@ -748,7 +750,7 @@ impl Session {
             None => ShardWorker::spawn(
                 Arc::clone(&self.desc),
                 self.engine_config,
-                worker_options(&self.config),
+                worker_options(&self.plan, &self.config),
                 self.config.queue_capacity,
                 shard,
             ),
@@ -876,9 +878,7 @@ impl Session {
         self.stats.tick_latency.observe_duration(elapsed);
         let metrics = crate::obs::metrics();
         metrics.ticks.inc();
-        metrics
-            .tick_duration(self.config.eval)
-            .observe_duration(elapsed);
+        metrics.tick_duration.observe_duration(elapsed);
         self.observe_recognition_latency(to);
         let degraded = self
             .config
@@ -1122,10 +1122,9 @@ impl Session {
         &self.stats.queue_high_water
     }
 
-    /// The label of the session's window evaluator
-    /// (`"interpreter"` / `"plan"`).
+    /// The label of the session's window evaluator (`"plan"`).
     pub fn evaluator(&self) -> &'static str {
-        self.config.eval.as_str()
+        rtec_plan::LABEL
     }
 
     /// The merged per-rule profile across shard engines as of the last
@@ -1238,9 +1237,9 @@ fn respawn_jitter_ms(session: &str, shard: usize, restarts: u64) -> u64 {
     h % (3 * restarts.min(5) + 1)
 }
 
-fn worker_options(config: &SessionConfig) -> WorkerOptions {
+fn worker_options(plan: &Arc<Plan>, config: &SessionConfig) -> WorkerOptions {
     WorkerOptions {
-        eval: config.eval,
+        plan: Arc::clone(plan),
         profile: config.profile,
     }
 }

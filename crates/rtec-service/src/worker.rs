@@ -26,11 +26,12 @@
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use rtec::checkpoint::EngineCheckpoint;
 use rtec::description::CompiledDescription;
-use rtec::engine::{Engine, EngineConfig, EngineStats, EvalMode, RecognitionOutput};
+use rtec::engine::{Engine, EngineConfig, EngineStats, RecognitionOutput};
 use rtec::interval::IntervalList;
 use rtec::term::GroundFvp;
 use rtec::{Term, Timepoint};
 use rtec_obs::profile::ProfileAggregate;
+use rtec_plan::Plan;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -55,10 +56,11 @@ pub enum WorkerMsg {
 }
 
 /// Evaluator and profiling choices a worker's engine is spawned with.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone)]
 pub struct WorkerOptions {
-    /// Window-evaluation strategy (AST interpreter or compiled plan).
-    pub eval: EvalMode,
+    /// The session's compiled plan, shared by all of its shard engines
+    /// (and by their respawns).
+    pub plan: Arc<Plan>,
     /// Whether the engine attributes per-rule evaluation costs.
     pub profile: bool,
 }
@@ -121,19 +123,10 @@ impl ShardWorker {
                     }
                 },
             };
-            // Engine state is evaluator-agnostic, so the mode can be
-            // applied uniformly to fresh and restored engines alike —
-            // including restores from a checkpoint written under the
-            // other mode.
-            match options.eval {
-                EvalMode::Interpreter => {}
-                EvalMode::Plan => {
-                    engine.set_evaluator(Box::new(rtec_plan::Plan::compile(&desc)));
-                }
-                EvalMode::Optimized => {
-                    engine.set_evaluator(Box::new(rtec_analysis::optimized_plan(&desc)));
-                }
-            }
+            // Engine state is evaluator-agnostic, so the plan applies to
+            // fresh and restored engines alike — including restores from
+            // a checkpoint written under another evaluator.
+            engine.set_evaluator(options.plan);
             // Profiler state is process-local and never checkpointed: a
             // respawned worker restarts attribution from zero while the
             // session keeps the lifetime totals it already merged.
@@ -283,9 +276,9 @@ mod tests {
         (Arc::new(desc.compile().unwrap()), master)
     }
 
-    fn interp(profile: bool) -> WorkerOptions {
+    fn options(desc: &CompiledDescription, profile: bool) -> WorkerOptions {
         WorkerOptions {
-            eval: EvalMode::Interpreter,
+            plan: Arc::new(Plan::compile(desc)),
             profile,
         }
     }
@@ -296,7 +289,7 @@ mod tests {
         let w = ShardWorker::spawn(
             Arc::clone(&compiled),
             EngineConfig::default(),
-            interp(true),
+            options(&compiled, true),
             4,
             0,
         );
@@ -336,7 +329,7 @@ mod tests {
         let w = ShardWorker::spawn(
             Arc::clone(&compiled),
             EngineConfig::default(),
-            interp(false),
+            options(&compiled, false),
             4,
             0,
         );
@@ -357,7 +350,13 @@ mod tests {
     fn respawn_resumes_from_a_checkpoint() {
         let (compiled, mut master) = compiled();
         let config = EngineConfig::windowed(10);
-        let w = ShardWorker::spawn(Arc::clone(&compiled), config, interp(false), 4, 0);
+        let w = ShardWorker::spawn(
+            Arc::clone(&compiled),
+            config,
+            options(&compiled, false),
+            4,
+            0,
+        );
 
         let up = rtec::parser::parse_term("up(a)", &mut master).unwrap();
         let down = rtec::parser::parse_term("down(a)", &mut master).unwrap();
@@ -370,7 +369,14 @@ mod tests {
         let cp = rx.recv().unwrap();
         drop(w); // simulate the first worker dying
 
-        let w2 = ShardWorker::respawn(Arc::clone(&compiled), config, interp(false), 4, 0, *cp);
+        let w2 = ShardWorker::respawn(
+            Arc::clone(&compiled),
+            config,
+            options(&compiled, false),
+            4,
+            0,
+            *cp,
+        );
         w2.send(WorkerMsg::Event(down, 14)).ok().unwrap();
         let (tx, rx) = bounded(1);
         w2.send(WorkerMsg::RunTo(20, tx)).ok().unwrap();
@@ -389,7 +395,8 @@ mod tests {
     #[test]
     fn dead_worker_hands_the_message_back() {
         let (compiled, mut master) = compiled();
-        let mut w = ShardWorker::spawn(compiled, EngineConfig::default(), interp(false), 4, 0);
+        let opts = options(&compiled, false);
+        let mut w = ShardWorker::spawn(compiled, EngineConfig::default(), opts, 4, 0);
         // Kill the worker via Drain and join so the receiver is dropped.
         let (tx, rx) = bounded(1);
         w.send(WorkerMsg::Drain(tx)).ok().unwrap();

@@ -16,7 +16,6 @@
 //! documents; each must be refused with an `Err`, never a panic.
 
 use rtec::checkpoint::{fnv1a_hex, EngineCheckpoint};
-use rtec::engine::EvalMode;
 use rtec_service::persist::SessionCheckpoint;
 use rtec_service::session::{Session, SessionConfig};
 
@@ -52,7 +51,6 @@ fn scripted_image() -> SessionCheckpoint {
         max_events_per_tick: Some(1000),
         max_buffered_bytes: Some(1 << 20),
         tick_deadline_ms: Some(60_000),
-        eval: EvalMode::Plan,
         profile: false,
         slow_tick_ms: Some(250),
         ..SessionConfig::default()
@@ -255,7 +253,6 @@ fn documents_from_older_writers_read_with_defaults() {
     assert_eq!(old.deadletter_records_dropped, 0);
     assert!(old.reorder.is_none());
     assert_eq!(old.journal_seq, 0);
-    assert_eq!(old.config.eval, SessionConfig::default().eval);
     assert!(old.config.profile);
     assert!(!old.config.incremental);
     assert_eq!(old.config.slide, None);
@@ -263,6 +260,29 @@ fn documents_from_older_writers_read_with_defaults() {
         .shards
         .iter()
         .all(|s| !s.to_json().contains("\"sliding\"")));
+    // Every evaluator label a writer ever recorded restores onto the
+    // plan, in the session document and in the engine envelope alike;
+    // any other label is refused.
+    let full = state_of(SESSION_FIXTURE);
+    for label in ["interpreter", "plan", "optimized"] {
+        let tagged = full.replacen("\"eval\":\"plan\"", &format!("\"eval\":\"{label}\""), 1);
+        let session = SessionCheckpoint::from_json(&reseal(&tagged))
+            .unwrap_or_else(|e| panic!("{label}: {e}"))
+            .restore()
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(session.evaluator(), "plan", "{label}");
+        session.close().unwrap();
+        let engine = ENGINE_FIXTURE.replacen(
+            "\"eval_mode\":\"plan\"",
+            &format!("\"eval_mode\":\"{label}\""),
+            1,
+        );
+        let engine =
+            EngineCheckpoint::from_json(&engine).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(engine.eval_mode(), Some(label));
+    }
+    let unknown = full.replacen("\"eval\":\"plan\"", "\"eval\":\"fast\"", 1);
+    assert!(SessionCheckpoint::from_json(&reseal(&unknown)).is_err());
     // Explicit nulls read like absent keys.
     let nulls = state.replacen("\"window\":20", "\"window\":null", 1);
     let old = SessionCheckpoint::from_json(&reseal(&nulls)).unwrap();

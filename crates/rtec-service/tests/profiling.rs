@@ -1,7 +1,8 @@
 //! Profiler integration: the per-rule profiler must be a pure
 //! observer. Toggling it on or off must leave every recognition
 //! artefact byte-identical — query rows, warnings, tick replies, and
-//! on-disk checkpoint state — for all three evaluators. On top of that the
+//! on-disk checkpoint state — on the compiled plan every session runs.
+//! On top of that the
 //! `profile` wire command must report attributed rule costs, the
 //! Prometheus exposition must stay valid and bounded in cardinality,
 //! and (under `testkit`) a seeded slow tick must promote a
@@ -107,35 +108,33 @@ fn normalized_checkpoint(dir: &Path, session: &str) -> String {
 #[test]
 fn profiler_toggle_is_output_invariant() {
     let _serial = serial();
-    for eval in ["interpreter", "plan", "optimized"] {
-        let mut runs = Vec::new();
-        for profile in [true, false] {
-            let tag = format!("{eval}-{profile}");
-            let dir = temp_dir(&tag);
-            let _ = std::fs::remove_dir_all(&dir);
-            let registry = Registry::with_options(Some(dir.clone()), None);
-            let extra = format!(",\"eval\":\"{eval}\",\"profile\":{profile}");
-            let (ticks, queries) = run_workload(&registry, "inv", &extra);
-            let checkpoint = normalized_checkpoint(&dir, "inv");
-            let _ = std::fs::remove_dir_all(&dir);
-            runs.push((ticks, queries, checkpoint));
-        }
-        let (on, off) = (&runs[0], &runs[1]);
-        assert_eq!(on.0, off.0, "{eval}: tick replies diverged");
-        assert_eq!(on.1, off.1, "{eval}: query rows/warnings diverged");
-        assert_eq!(on.2, off.2, "{eval}: checkpoint state diverged");
+    let mut runs = Vec::new();
+    for profile in [true, false] {
+        let dir = temp_dir(&format!("toggle-{profile}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = Registry::with_options(Some(dir.clone()), None);
+        let extra = format!(",\"profile\":{profile}");
+        let (ticks, queries) = run_workload(&registry, "inv", &extra);
+        let checkpoint = normalized_checkpoint(&dir, "inv");
+        let _ = std::fs::remove_dir_all(&dir);
+        runs.push((ticks, queries, checkpoint));
     }
+    let (on, off) = (&runs[0], &runs[1]);
+    assert_eq!(on.0, off.0, "tick replies diverged");
+    assert_eq!(on.1, off.1, "query rows/warnings diverged");
+    assert_eq!(on.2, off.2, "checkpoint state diverged");
 }
 
 #[test]
 fn profile_command_reports_attributed_rule_costs() {
     let _serial = serial();
-    for eval in ["interpreter", "plan", "optimized"] {
+    // A client that still sends the removed `eval` option is served
+    // like any other: the field is ignored and the plan runs.
+    for extra in ["", ",\"eval\":\"interpreter\""] {
         let registry = Registry::new();
-        let extra = format!(",\"eval\":\"{eval}\"");
-        run_workload(&registry, "prof", &extra);
+        run_workload(&registry, "prof", extra);
         let v = parse_reply(&registry.dispatch("{\"cmd\":\"profile\",\"session\":\"prof\"}"));
-        assert_eq!(v["evaluator"], eval, "{v:?}");
+        assert_eq!(v["evaluator"], "plan", "{v:?}");
         assert_eq!(v["enabled"], true, "{v:?}");
         assert!(v["windows"].as_i64().unwrap() >= 1, "{v:?}");
         let rules = v["rules"].as_array().expect("rules array");
@@ -168,16 +167,9 @@ fn profile_disabled_session_reports_enabled_false() {
     let v = parse_reply(&registry.dispatch("{\"cmd\":\"profile\",\"session\":\"off\"}"));
     assert_eq!(v["enabled"], false, "{v:?}");
     assert!(v.get("rules").is_none(), "{v:?}");
-    // stats still names the evaluator even when profiling is off (the
-    // default mode follows RTEC_EVAL, so only the shape is pinned here).
+    // stats still names the evaluator even when profiling is off.
     let stats = parse_reply(&registry.dispatch("{\"cmd\":\"stats\",\"session\":\"off\"}"));
-    assert!(
-        matches!(
-            stats["evaluator"].as_str(),
-            Some("interpreter") | Some("plan") | Some("optimized")
-        ),
-        "{stats:?}"
-    );
+    assert_eq!(stats["evaluator"], "plan", "{stats:?}");
     assert_eq!(stats["evaluator"], v["evaluator"], "{stats:?} vs {v:?}");
 }
 
@@ -185,7 +177,7 @@ fn profile_disabled_session_reports_enabled_false() {
 fn profile_metrics_are_valid_and_bounded() {
     let _serial = serial();
     let registry = Registry::new();
-    run_workload(&registry, "metrics", ",\"eval\":\"plan\"");
+    run_workload(&registry, "metrics", "");
     let text = registry.render_metrics();
     rtec_obs::expo::validate(&text).expect("valid exposition with profile families");
     for family in [
@@ -221,11 +213,41 @@ fn profile_metrics_are_valid_and_bounded() {
         text.contains("rtec_recognition_latency_us_count{stage=\"release\"}"),
         "missing release latency series"
     );
-    // Tick-duration histogram carries the evaluator label.
+    // One tick-duration series, no longer split by evaluator.
     assert!(
-        text.contains("rtec_service_tick_duration_us_count{eval=\"plan\"}"),
-        "missing eval-labelled tick duration"
+        text.lines()
+            .any(|l| l.starts_with("rtec_service_tick_duration_us_count ")),
+        "missing tick duration"
     );
+    assert!(
+        !text.contains("rtec_service_tick_duration_us_count{"),
+        "{text}"
+    );
+}
+
+/// The count of one `rtec_engine_fluent_eval_us` series in `text`.
+fn fluent_eval_count(text: &str, kind: &str) -> u64 {
+    let prefix = format!("rtec_engine_fluent_eval_us_count{{kind=\"{kind}\"}} ");
+    text.lines()
+        .find_map(|l| l.strip_prefix(&prefix))
+        .map_or(0, |n| n.trim().parse().expect("a count"))
+}
+
+/// Plan-evaluated sessions time every stratum into the engine's
+/// per-fluent histograms, simple and static alike.
+#[test]
+fn plan_sessions_feed_fluent_eval_metrics() {
+    let _serial = serial();
+    let registry = Registry::new();
+    let before = registry.render_metrics();
+    run_workload(&registry, "fluent-eval", ",\"profile\":false");
+    let after = registry.render_metrics();
+    for kind in ["simple", "static"] {
+        assert!(
+            fluent_eval_count(&after, kind) > fluent_eval_count(&before, kind),
+            "no {kind} fluent evaluations observed"
+        );
+    }
 }
 
 /// A seeded tick stall crossing `slow_tick_ms` must promote the

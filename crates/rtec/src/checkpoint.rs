@@ -49,7 +49,7 @@
 //! the same checkpoint (or, for the service, the session's master-table
 //! snapshot), which travels alongside.
 
-use crate::engine::{EngineStats, EvalMode};
+use crate::engine::EngineStats;
 use crate::eval::simple::InertiaState;
 use crate::interval::{Interval, IntervalList, Timepoint};
 use crate::json::{
@@ -60,6 +60,12 @@ use crate::term::{GroundFvp, Term};
 
 /// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: i64 = 1;
+
+/// Evaluator labels a checkpoint envelope may carry: the interpreter,
+/// the compiled plan, and `optimized` from writers that still had the
+/// plan optimizer. All restore alike — engine state is
+/// evaluator-agnostic — and any other label is refused.
+pub const EVALUATOR_LABELS: [&str; 3] = ["interpreter", "plan", "optimized"];
 
 /// Encoded inertia state: ground fluent term paired with its open
 /// `(value, start)` entries.
@@ -102,10 +108,10 @@ pub struct EngineCheckpoint {
     /// Sliding-window overlap state; `None` for tumbling engines (and
     /// for checkpoints written before sliding windows existed).
     pub(crate) sliding: Option<SlidingSection>,
-    /// Label of the evaluation strategy that wrote the checkpoint
-    /// (`"interpreter"` or `"plan"`). Informational only: it lives in the
+    /// Label of the evaluation strategy that wrote the checkpoint (one
+    /// of [`EVALUATOR_LABELS`]). Informational only: it lives in the
     /// JSON envelope, outside the checksummed state, and restore ignores
-    /// it — checkpoints are portable across evaluation modes.
+    /// it — checkpoints are portable across evaluators.
     pub(crate) eval_mode: Option<String>,
 }
 
@@ -322,7 +328,7 @@ pub fn read_envelope<'t>(
     let eval_mode = match head.eat(",\"eval_mode\":") {
         false => None,
         true => match head.string()? {
-            mode if EvalMode::parse(&mode).is_some() => Some(mode),
+            mode if EVALUATOR_LABELS.contains(&mode.as_str()) => Some(mode),
             _ => return Err(head.err("unknown \"eval_mode\"")),
         },
     };

@@ -42,7 +42,10 @@ use crate::interval::{IntervalList, Timepoint, INF};
 use crate::reorder::{DeadLetterLedger, DeadLetterReason};
 use crate::symbol::SymbolTable;
 use crate::term::{translate, GroundFvp, Term};
+use rtec_obs::profile::RuleKind;
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// Recent refused-event records retained per engine (counts are exact
 /// regardless; see [`Engine::dead_letters`]).
@@ -121,133 +124,120 @@ impl EngineConfig {
     }
 }
 
-/// Which evaluation strategy an engine (or service session) uses.
-///
-/// Both strategies are pinned to each other by differential tests; the
-/// plan evaluator (crate `rtec-plan`) trades compile time for lower
-/// per-window cost. Checkpoints are mode-agnostic: a checkpoint written
-/// under one mode restores under the other byte-identically.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvalMode {
-    /// Walk the validated rule AST directly (the historical evaluator).
-    #[default]
-    Interpreter,
-    /// Execute a compiled, slot-indexed evaluation plan (`rtec-plan`).
-    Plan,
-    /// Execute a compiled plan additionally rewritten by the
-    /// analysis-driven optimizer (`rtec-analysis` proofs consumed by
-    /// `rtec-plan`'s `PlanOptimizer` pass): statically-empty rules
-    /// deleted, constant interval-algebra inputs folded, per-stratum
-    /// trigger-signature pre-filters. Observationally identical to the
-    /// other two modes.
-    Optimized,
+/// Everything one window's evaluation reads and writes, handed by the
+/// engine to [`WindowEvaluator::evaluate`].
+pub struct EvalCtx<'w, 'c> {
+    /// The description being evaluated: its symbols, the `=` symbol and
+    /// the background facts.
+    pub desc: &'w CompiledDescription,
+    /// The window's derived and input fluent intervals.
+    pub cache: &'w mut FluentCache<'c>,
+    /// Simple-fluent inertia carried across window boundaries.
+    pub inertia: &'w mut InertiaState,
+    /// The engine's deduplicated warning log.
+    pub warnings: &'w mut WarningSink,
+    events: &'w EventIndex,
+    /// Present under incremental evaluation: which simple fluents the
+    /// window's events can affect.
+    delta: Option<&'w WindowDelta>,
+    /// Per-rule attribution, when the engine profiles.
+    profiler: Option<&'w mut crate::profile::EngineProfiler>,
 }
 
-impl EvalMode {
-    /// Environment variable consulted by [`EvalMode::from_env`].
-    pub const ENV_VAR: &'static str = "RTEC_EVAL";
+impl<'w> EvalCtx<'w, '_> {
+    /// The window's events.
+    pub fn events(&self) -> &'w EventIndex {
+        self.events
+    }
 
-    /// Parses `"interpreter"` / `"plan"` / `"optimized"`.
-    pub fn parse(s: &str) -> Option<EvalMode> {
-        match s {
-            "interpreter" => Some(EvalMode::Interpreter),
-            "plan" => Some(EvalMode::Plan),
-            "optimized" => Some(EvalMode::Optimized),
-            _ => None,
+    /// The events a simple stratum of `key` scans: the window's events,
+    /// or an empty index when the window's [`WindowDelta`] proves that
+    /// no rule of `key` matches any of them. An empty scan folds only
+    /// the inertia carry, exactly as the real scan would.
+    pub fn events_for(&self, key: FluentKey) -> &'w EventIndex {
+        static EMPTY: OnceLock<EventIndex> = OnceLock::new();
+        match self.delta {
+            Some(delta) if !delta.is_dirty(key) => EMPTY.get_or_init(EventIndex::default),
+            _ => self.events,
         }
     }
 
-    /// The canonical spelling, as accepted by [`EvalMode::parse`].
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EvalMode::Interpreter => "interpreter",
-            EvalMode::Plan => "plan",
-            EvalMode::Optimized => "optimized",
+    /// Runs one stratum's evaluation `eval`, timing it into
+    /// `rtec_engine_fluent_eval_us{kind}` and, when the engine profiles,
+    /// into the window's per-rule trace. Every evaluator routes each
+    /// stratum through here, so attribution is the same whichever one
+    /// runs; it only times the call, never alters it.
+    pub fn stratum(&mut self, key: FluentKey, kind: RuleKind, eval: impl FnOnce(&mut Self)) {
+        let ops_before = crate::profile::interval_ops();
+        let started = Instant::now();
+        eval(self);
+        let elapsed = started.elapsed();
+        let metrics = crate::obs::metrics();
+        match kind {
+            RuleKind::Simple => &metrics.fluent_eval_simple_us,
+            RuleKind::Static => &metrics.fluent_eval_static_us,
+        }
+        .observe_duration(elapsed);
+        if let Some(profiler) = self.profiler.as_deref_mut() {
+            profiler.record(
+                &self.desc.symbols,
+                key,
+                kind,
+                elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
+                crate::profile::interval_ops().wrapping_sub(ops_before),
+            );
         }
     }
-
-    /// Reads `RTEC_EVAL` from the environment; unset or unrecognised
-    /// values fall back to the interpreter.
-    pub fn from_env() -> EvalMode {
-        std::env::var(Self::ENV_VAR)
-            .ok()
-            .and_then(|v| Self::parse(v.trim()))
-            .unwrap_or_default()
-    }
 }
 
-impl std::fmt::Display for EvalMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// A pluggable window-evaluation strategy.
+/// A window-evaluation strategy.
 ///
 /// The engine owns windowing, inertia carry, checkpointing and output
 /// folding; an evaluator only derives the window's fluent intervals into
-/// the cache. The default strategy is the AST interpreter
-/// ([`crate::eval::simple`] / [`crate::eval::statics`]); `rtec-plan`
-/// provides a compiled alternative installed via
-/// [`Engine::set_evaluator`]. Implementations must be observationally
-/// identical to the interpreter: same cache contents, same inertia
-/// updates, same warnings in the same order.
-pub trait WindowEvaluator: Send {
+/// the cache, bottom-up over the description's strata, passing each
+/// stratum through [`EvalCtx::stratum`]. The AST interpreter
+/// ([`Interpreter`]) is the reference semantics and [`Engine::new`]'s
+/// built-in evaluator; `rtec-plan` compiles the plan that production
+/// runs, installed with [`Engine::with_evaluator`]. An evaluator holds
+/// no per-window state, so one instance can serve many engines at once.
+/// Implementations must be observationally identical to the
+/// interpreter: same cache contents, same inertia updates, same
+/// warnings in the same order.
+pub trait WindowEvaluator: Send + Sync {
     /// A short label recorded (informationally) in checkpoints.
     fn label(&self) -> &'static str;
 
-    /// Evaluates one window: derives every defined fluent bottom-up into
-    /// `cache`, updating `inertia` and reporting `warnings`.
-    fn evaluate_window(
-        &mut self,
-        events: &EventIndex,
-        cache: &mut FluentCache<'_>,
-        inertia: &mut InertiaState,
-        warnings: &mut WarningSink,
-    );
+    /// Evaluates one window: derives every defined fluent into
+    /// `ctx.cache`, updating `ctx.inertia` and reporting to
+    /// `ctx.warnings`.
+    fn evaluate(&self, ctx: EvalCtx<'_, '_>);
+}
 
-    /// Like [`WindowEvaluator::evaluate_window`], but additionally
-    /// attributing per-rule self wall-time and interval-op counts into
-    /// `profile` (one entry per evaluated stratum). The default forwards
-    /// to `evaluate_window` and attributes nothing, so evaluators
-    /// without profiling support keep working. Overrides must keep the
-    /// profiled path observationally identical to the unprofiled one:
-    /// attribution may only *time* the existing calls, never reorder or
-    /// alter them.
-    fn evaluate_window_profiled(
-        &mut self,
-        events: &EventIndex,
-        cache: &mut FluentCache<'_>,
-        inertia: &mut InertiaState,
-        warnings: &mut WarningSink,
-        profile: &mut rtec_obs::profile::WindowProfile,
-    ) {
-        let _ = profile;
-        self.evaluate_window(events, cache, inertia, warnings);
+/// The AST interpreter ([`crate::eval::simple`] /
+/// [`crate::eval::statics`]): the reference the compiled plan is tested
+/// against.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Interpreter;
+
+impl WindowEvaluator for Interpreter {
+    fn label(&self) -> &'static str {
+        "interpreter"
     }
 
-    /// Like [`WindowEvaluator::evaluate_window`], but additionally handed
-    /// the window's [`WindowDelta`]: simple-fluent keys for which
-    /// `delta.is_dirty(key)` is `false` provably have zero candidate
-    /// events this window, so an evaluator may scan an empty index for
-    /// them (pure inertia fold) instead of the real one. The default
-    /// ignores the delta — still correct, just without the skip.
-    /// Overrides must stay observationally identical to
-    /// `evaluate_window` on the same events.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_window_incremental(
-        &mut self,
-        events: &EventIndex,
-        delta: &WindowDelta,
-        cache: &mut FluentCache<'_>,
-        inertia: &mut InertiaState,
-        warnings: &mut WarningSink,
-        profile: Option<&mut rtec_obs::profile::WindowProfile>,
-    ) {
-        let _ = delta;
-        match profile {
-            Some(p) => self.evaluate_window_profiled(events, cache, inertia, warnings, p),
-            None => self.evaluate_window(events, cache, inertia, warnings),
+    fn evaluate(&self, mut ctx: EvalCtx<'_, '_>) {
+        let desc = ctx.desc;
+        for &key in &desc.strata {
+            if desc.simple_by_fluent.contains_key(&key) {
+                let events = ctx.events_for(key);
+                ctx.stratum(key, RuleKind::Simple, |c| {
+                    evaluate_simple_fluent(desc, key, events, c.cache, c.inertia, c.warnings)
+                });
+            }
+            if desc.static_by_fluent.contains_key(&key) {
+                ctx.stratum(key, RuleKind::Static, |c| {
+                    evaluate_static_fluent(desc, key, c.cache, c.warnings)
+                });
+            }
         }
     }
 }
@@ -438,9 +428,8 @@ pub struct Engine<'a> {
     dead_letters: DeadLetterLedger,
     /// Stale refusals since the last `run_to` warning flush.
     stale_rejected: usize,
-    /// Replacement window-evaluation strategy; `None` runs the AST
-    /// interpreter.
-    evaluator: Option<Box<dyn WindowEvaluator>>,
+    /// Window-evaluation strategy; `None` runs the [`Interpreter`].
+    evaluator: Option<Arc<dyn WindowEvaluator>>,
     /// Per-rule cost attribution; `None` (the default) disables
     /// profiling entirely. Process-local — never part of a checkpoint,
     /// so checkpoint bytes are identical with profiling on or off.
@@ -454,7 +443,8 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Creates an engine over a compiled event description.
+    /// Creates an engine over a compiled event description, evaluating
+    /// windows with the [`Interpreter`].
     pub fn new(desc: &'a CompiledDescription, config: EngineConfig) -> Engine<'a> {
         let inertia = InertiaState::new();
         let sliding = config
@@ -481,13 +471,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Creates an engine that evaluates windows with `evaluator` instead
-    /// of the AST interpreter. The evaluator must have been compiled from
-    /// the same description.
+    /// Creates an engine that evaluates windows with `evaluator`, which
+    /// must have been compiled from the same description. Engines may
+    /// share one evaluator.
     pub fn with_evaluator(
         desc: &'a CompiledDescription,
         config: EngineConfig,
-        evaluator: Box<dyn WindowEvaluator>,
+        evaluator: Arc<dyn WindowEvaluator>,
     ) -> Engine<'a> {
         let mut engine = Engine::new(desc, config);
         engine.set_evaluator(evaluator);
@@ -497,18 +487,14 @@ impl<'a> Engine<'a> {
     /// Installs (or replaces) the window-evaluation strategy. Safe at any
     /// window boundary — all carried state (inertia, inputs, output) is
     /// strategy-agnostic, which is what keeps checkpoints portable across
-    /// modes.
-    pub fn set_evaluator(&mut self, evaluator: Box<dyn WindowEvaluator>) {
+    /// evaluators.
+    pub fn set_evaluator(&mut self, evaluator: Arc<dyn WindowEvaluator>) {
         self.evaluator = Some(evaluator);
     }
 
-    /// The label of the active evaluation strategy (`"interpreter"` when
-    /// no replacement evaluator is installed).
+    /// The label of the active evaluation strategy.
     pub fn eval_label(&self) -> &'static str {
-        self.evaluator
-            .as_deref()
-            .map(WindowEvaluator::label)
-            .unwrap_or("interpreter")
+        self.evaluator.as_deref().unwrap_or(&Interpreter).label()
     }
 
     /// Enables per-rule profiling (idempotent). Works with either
@@ -1034,91 +1020,21 @@ impl<'a> Engine<'a> {
         use_delta: bool,
     ) {
         let metrics = crate::obs::metrics();
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         metrics.windows.inc();
         let index = EventIndex::build(chunk_events);
         let delta = use_delta.then(|| WindowDelta::compute(self.desc, &index));
-        let empty_index = EventIndex::default();
-
         let mut cache = FluentCache::new(&self.inputs, &self.inputs_by_key);
-        let mut window_profile = self
-            .profiler
-            .as_ref()
-            .map(|_| rtec_obs::profile::WindowProfile::new());
-        if let Some(evaluator) = self.evaluator.as_deref_mut() {
-            match (&delta, window_profile.as_mut()) {
-                (Some(d), wp) => evaluator.evaluate_window_incremental(
-                    &index,
-                    d,
-                    &mut cache,
-                    &mut self.inertia,
-                    &mut self.warnings,
-                    wp,
-                ),
-                (None, Some(wp)) => evaluator.evaluate_window_profiled(
-                    &index,
-                    &mut cache,
-                    &mut self.inertia,
-                    &mut self.warnings,
-                    wp,
-                ),
-                (None, None) => evaluator.evaluate_window(
-                    &index,
-                    &mut cache,
-                    &mut self.inertia,
-                    &mut self.warnings,
-                ),
-            }
-        } else {
-            for key in &self.desc.strata {
-                if self.desc.simple_by_fluent.contains_key(key) {
-                    // Clean keys scan an empty index: zero candidate
-                    // events, so only the inertia carry is folded —
-                    // identical to scanning the real index.
-                    let key_index = match &delta {
-                        Some(d) if !d.is_dirty(*key) => &empty_index,
-                        _ => &index,
-                    };
-                    let ops_before = crate::profile::interval_ops();
-                    let eval_started = std::time::Instant::now();
-                    evaluate_simple_fluent(
-                        self.desc,
-                        *key,
-                        key_index,
-                        &mut cache,
-                        &mut self.inertia,
-                        &mut self.warnings,
-                    );
-                    let elapsed = eval_started.elapsed();
-                    metrics.fluent_eval_simple_us.observe_duration(elapsed);
-                    if let Some(wp) = window_profile.as_mut() {
-                        let prof = self.profiler.as_mut().expect("profiling enabled");
-                        wp.record(
-                            prof.name_of(&self.symbols, *key),
-                            rtec_obs::profile::RuleKind::Simple,
-                            elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-                            crate::profile::interval_ops().wrapping_sub(ops_before),
-                        );
-                    }
-                }
-                if self.desc.static_by_fluent.contains_key(key) {
-                    let ops_before = crate::profile::interval_ops();
-                    let eval_started = std::time::Instant::now();
-                    evaluate_static_fluent(self.desc, *key, &mut cache, &mut self.warnings);
-                    let elapsed = eval_started.elapsed();
-                    metrics.fluent_eval_static_us.observe_duration(elapsed);
-                    if let Some(wp) = window_profile.as_mut() {
-                        let prof = self.profiler.as_mut().expect("profiling enabled");
-                        wp.record(
-                            prof.name_of(&self.symbols, *key),
-                            rtec_obs::profile::RuleKind::Static,
-                            elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-                            crate::profile::interval_ops().wrapping_sub(ops_before),
-                        );
-                    }
-                }
-            }
-        }
+        let evaluator = self.evaluator.as_deref().unwrap_or(&Interpreter);
+        evaluator.evaluate(EvalCtx {
+            desc: self.desc,
+            cache: &mut cache,
+            inertia: &mut self.inertia,
+            warnings: &mut self.warnings,
+            events: &index,
+            delta: delta.as_ref(),
+            profiler: self.profiler.as_mut(),
+        });
 
         // Fold the window's results into the global output.
         //
@@ -1150,9 +1066,8 @@ impl<'a> Engine<'a> {
         }
         self.processed_to = q;
         let window_elapsed = started.elapsed();
-        if let (Some(mut wp), Some(prof)) = (window_profile, self.profiler.as_mut()) {
-            wp.total_ns = window_elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-            prof.finish_window(wp);
+        if let Some(profiler) = self.profiler.as_mut() {
+            profiler.finish_window(window_elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
         }
         metrics.tick_duration_us.observe_duration(window_elapsed);
     }

@@ -23,7 +23,7 @@
 
 use crate::ast::FluentKey;
 use crate::symbol::SymbolTable;
-use rtec_obs::profile::{ProfileAggregate, WindowProfile};
+use rtec_obs::profile::{ProfileAggregate, RuleKind, WindowProfile};
 use std::cell::Cell;
 use std::collections::HashMap;
 
@@ -54,11 +54,13 @@ pub fn rule_name(symbols: &SymbolTable, key: FluentKey) -> String {
     }
 }
 
-/// Per-engine profiling state: lifetime aggregate, last window trace,
-/// and a name cache so the hot path never re-renders symbols.
+/// Per-engine profiling state: lifetime aggregate, the window being
+/// evaluated, the last finished window trace, and a name cache so the
+/// hot path never re-renders symbols.
 #[derive(Debug, Default)]
 pub struct EngineProfiler {
     aggregate: ProfileAggregate,
+    current: WindowProfile,
     last_window: Option<WindowProfile>,
     names: HashMap<FluentKey, String>,
 }
@@ -86,17 +88,28 @@ impl EngineProfiler {
         self.last_window.take()
     }
 
-    /// The cached `functor/arity` name of `key`.
-    pub(crate) fn name_of(&mut self, symbols: &SymbolTable, key: FluentKey) -> String {
-        self.names
+    /// Attributes one stratum's cost to `key` in the current window.
+    pub(crate) fn record(
+        &mut self,
+        symbols: &SymbolTable,
+        key: FluentKey,
+        kind: RuleKind,
+        self_ns: u64,
+        interval_ops: u64,
+    ) {
+        let name = self
+            .names
             .entry(key)
             .or_insert_with(|| rule_name(symbols, key))
-            .clone()
+            .clone();
+        self.current.record(name, kind, self_ns, interval_ops);
     }
 
-    /// Folds a completed window's trace into the aggregate and retains
-    /// it as the last window.
-    pub(crate) fn finish_window(&mut self, window: WindowProfile) {
+    /// Closes the current window: folds its trace into the aggregate and
+    /// retains it as the last window.
+    pub(crate) fn finish_window(&mut self, total_ns: u64) {
+        let mut window = std::mem::take(&mut self.current);
+        window.total_ns = total_ns;
         self.aggregate.absorb_window(&window);
         self.last_window = Some(window);
     }
