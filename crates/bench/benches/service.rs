@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use maritime::{BrestScenario, Dataset};
 use rtec_service::{Session, SessionConfig};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 struct Workload {
     gold: String,
@@ -173,5 +174,40 @@ fn scrape_is_valid_and_bounded(w: &Workload) {
     }
 }
 
-criterion_group!(benches, bench_service);
+/// The `open` layer on its own: `Registry::dispatch` of an `open` frame
+/// carrying the gold description with the background of a
+/// `BrestScenario::large` dataset rendered back to source (the shape of
+/// every open in the paper's description grid), on 2 shards. Only the
+/// open is timed; the session is closed between iterations.
+fn bench_open(c: &mut Criterion) {
+    rtec_obs::set_max_level(rtec_obs::Level::Warn);
+    let dataset = Dataset::generate(&BrestScenario::large());
+    let description = dataset
+        .with_background(maritime::gold::GOLD_RULES)
+        .to_source();
+    let open = format!(
+        "{{\"cmd\":\"open\",\"session\":\"open\",\"description\":{},\"shards\":2}}",
+        serde_json::to_string(&serde_json::Value::from(description)).unwrap()
+    );
+    let close = "{\"cmd\":\"close\",\"session\":\"open\"}";
+    let registry = rtec_service::Registry::new();
+    let mut group = c.benchmark_group("service");
+    group.sample_size(20);
+    group.bench_function("open_gold", |b| {
+        b.iter_custom(|iters| {
+            let mut opening = Duration::ZERO;
+            for _ in 0..iters {
+                let start = Instant::now();
+                let reply = registry.dispatch(&open);
+                opening += start.elapsed();
+                assert!(reply.starts_with("{\"ok\":true"), "open failed: {reply}");
+                registry.dispatch(close);
+            }
+            opening
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_service, bench_open);
 criterion_main!(benches);

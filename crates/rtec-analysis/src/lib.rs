@@ -32,6 +32,7 @@
 //!
 //! ```
 //! use rtec::description::EventDescription;
+//! use rtec_plan::Plan;
 //!
 //! let desc = EventDescription::parse(
 //!     "initiatedAt(hot(V)=true, T) :- happensAt(reading(V, C), T), C > 10, C < 5.
@@ -41,7 +42,7 @@
 //! .unwrap()
 //! .compile()
 //! .unwrap();
-//! let analysis = rtec_analysis::analyze(&desc);
+//! let analysis = rtec_analysis::analyze(&desc, &Plan::compile(&desc));
 //! // The first rule's comparisons are contradictory.
 //! assert!(analysis.rules[0].empty.is_some());
 //! assert!(analysis.rules[1].empty.is_none());
@@ -541,19 +542,18 @@ fn run(desc: &CompiledDescription, plan: &Plan, closed: bool, undeclared_never_h
     out
 }
 
-/// Compiles `desc` to a plan and analyzes it under both semantics (see
-/// the crate docs).
-pub fn analyze(desc: &CompiledDescription) -> Analysis {
-    let plan = Plan::compile(desc);
+/// Analyzes `plan`, lowered from `desc`, under both semantics (see the
+/// crate docs).
+pub fn analyze(desc: &CompiledDescription, plan: &Plan) -> Analysis {
     let closed = declarations(desc).is_some();
-    let lint = run(desc, &plan, closed, true);
+    let lint = run(desc, plan, closed, true);
     // Under a closed schema the two sets of assumptions coincide; with
     // an open schema the strict run must assume undeclared fluents may
     // be fed by the stream.
     let strict = if closed {
         None
     } else {
-        Some(run(desc, &plan, closed, false))
+        Some(run(desc, plan, closed, false))
     };
     let (unsat, unreachable, never) = match &strict {
         Some(s) => (
@@ -589,6 +589,11 @@ mod tests {
             .expect("parses")
             .compile()
             .expect("compiles")
+    }
+
+    /// Analyzes `desc` over a plan lowered from it.
+    fn analyze(desc: &CompiledDescription) -> Analysis {
+        super::analyze(desc, &Plan::compile(desc))
     }
 
     fn rule_for(a: &Analysis, clause: usize) -> &RuleFacts {

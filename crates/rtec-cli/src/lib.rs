@@ -34,7 +34,7 @@ pub mod cluster;
 use rtec::declarations::Declarations;
 use rtec::stream::InputStream;
 use rtec::{Engine, EngineConfig, EventDescription, Timepoint};
-use rtec_plan::WithPlan as _;
+use rtec_plan::FrontEnd;
 use std::fmt::Write as _;
 
 /// CLI failure: a message and a suggested exit code.
@@ -599,22 +599,26 @@ pub fn parse_event_file(text: &str) -> Result<InputStream, CliError> {
 /// errors out (exit 1) when validation or semantic analysis fails, or —
 /// with `deny_warnings` — when any warning-severity diagnostic fires.
 pub fn check_source(src: &str, deny_warnings: bool) -> Result<String, CliError> {
-    let desc = EventDescription::parse_lenient(src);
-    let lint = rtec_lint::analyze(&desc);
+    let front = FrontEnd::lenient(src);
+    let lint = rtec_lint::lint(&front);
+    let desc = &front.parsed;
     let mut out = String::new();
     let _ = writeln!(out, "clauses: {}", desc.clauses.len());
     for e in &desc.parse_errors {
         let _ = writeln!(out, "syntax error: {e}");
     }
-    let compiled = desc.compile().map_err(|e| {
-        // Cycles and the like: the analyzer has the same finding with a
-        // clause position, so attach its report to the fatal message.
-        let mut message = format!("fatal: {e}");
-        if lint.has_errors() {
-            let _ = write!(message, "\n{}", lint.render());
+    let compiled = match &front.compiled {
+        Ok(compiled) => &compiled.desc,
+        Err(e) => {
+            // Cycles and the like: the analyzer has the same finding with
+            // a clause position, so attach its report to the fatal message.
+            let mut message = format!("fatal: {e}");
+            if lint.has_errors() {
+                let _ = write!(message, "\n{}", lint.render());
+            }
+            return Err(CliError::new(message, 1));
         }
-        CliError::new(message, 1)
-    })?;
+    };
     let _ = writeln!(
         out,
         "rules: {} simple, {} holdsFor; background facts: {}",
@@ -625,9 +629,9 @@ pub fn check_source(src: &str, deny_warnings: bool) -> Result<String, CliError> 
     for issue in &compiled.report.issues {
         let _ = writeln!(out, "{issue}");
     }
-    let decls = Declarations::from_description(&compiled);
+    let decls = Declarations::from_description(compiled);
     if !decls.is_empty() {
-        let schema = decls.check(&compiled);
+        let schema = decls.check(compiled);
         for issue in &schema.issues {
             let _ = writeln!(out, "schema {issue}");
         }
@@ -702,18 +706,18 @@ pub fn check_source_json(src: &str, deny_warnings: bool) -> (String, bool) {
 /// interpreter, and renders the per-fluent / per-rule facts table
 /// (value domains, emptiness proofs, reachability, productivity).
 pub fn analyze_source(src: &str) -> Result<String, CliError> {
-    let desc = EventDescription::parse_lenient(src);
-    if !desc.parse_errors.is_empty() {
+    let front = FrontEnd::lenient(src);
+    if !front.parsed.parse_errors.is_empty() {
         let mut message = String::from("analyze: description does not parse\n");
-        for e in &desc.parse_errors {
+        for e in &front.parsed.parse_errors {
             let _ = writeln!(message, "syntax error: {e}");
         }
         return Err(CliError::new(message.trim_end().to_string(), 1));
     }
-    let compiled = desc
-        .compile()
+    let compiled = front
+        .compiled
         .map_err(|e| CliError::new(format!("fatal: {e}"), 1))?;
-    let analysis = rtec_analysis::analyze(&compiled);
+    let analysis = rtec_analysis::analyze(&compiled.desc, &compiled.plan);
     let mut out = analysis.render_table();
     let proofs = analysis.proofs();
     let _ = write!(
@@ -737,9 +741,8 @@ pub fn run_source(
     horizon: Option<Timepoint>,
     profile: bool,
 ) -> Result<String, CliError> {
-    let desc = EventDescription::parse_lenient(desc_src);
-    let compiled = desc
-        .compile()
+    let compiled = FrontEnd::lenient(desc_src)
+        .compiled
         .map_err(|e| CliError::new(format!("fatal: {e}"), 1))?;
     let stream = parse_event_file(events_src)?;
     let horizon = horizon.unwrap_or_else(|| stream.horizon() + 1);
@@ -747,7 +750,7 @@ pub fn run_source(
         Some(w) => EngineConfig::windowed(w),
         None => EngineConfig::default(),
     };
-    let mut engine = Engine::with_plan(&compiled, config);
+    let mut engine = Engine::with_evaluator(&compiled.desc, config, compiled.plan);
     if profile {
         engine.enable_profiler();
     }

@@ -18,9 +18,11 @@
 
 use rtec_cli::cluster::Cluster;
 use serde_json::Value;
+use std::fs::File;
 use std::net::TcpListener;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 const DESC: &str = "initiatedAt(on(X)=true, T) :- happensAt(up(X), T).
@@ -56,16 +58,25 @@ fn free_port() -> u16 {
         .port()
 }
 
-/// One backend `serve` process. Killed on drop.
+/// One backend `serve` process. Killed on drop. Its stderr goes to a
+/// temp file so that a backend which dies during startup (a lost port
+/// race, a bad flag) is reported with its own words at once.
 struct Backend {
     child: Child,
     addr: String,
     spec: String,
+    stderr: PathBuf,
 }
 
 impl Backend {
     fn spawn(port: u16, metrics_port: Option<u16>, cp: &Path, jnl: &Path) -> Backend {
+        static SPAWNED: AtomicUsize = AtomicUsize::new(0);
         let addr = format!("127.0.0.1:{port}");
+        let stderr = std::env::temp_dir().join(format!(
+            "rtec-cluster-backend-{}-{}.stderr",
+            std::process::id(),
+            SPAWNED.fetch_add(1, Ordering::Relaxed)
+        ));
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_rtec-cli"));
         cmd.args([
             "serve",
@@ -83,7 +94,7 @@ impl Backend {
         .env("RTEC_LOG", "error")
         .stdin(Stdio::null())
         .stdout(Stdio::null())
-        .stderr(Stdio::null());
+        .stderr(File::create(&stderr).expect("backend stderr file"));
         let spec = match metrics_port {
             Some(mp) => {
                 cmd.args(["--metrics-addr", &format!("127.0.0.1:{mp}")]);
@@ -92,22 +103,44 @@ impl Backend {
             None => addr.clone(),
         };
         let child = cmd.spawn().expect("spawn backend");
-        let backend = Backend { child, addr, spec };
+        let mut backend = Backend {
+            child,
+            addr,
+            spec,
+            stderr,
+        };
         backend.wait_ready();
         backend
     }
 
     /// Polls the NDJSON port until the server answers a `metrics`
     /// frame (startup is fast; generous deadline for loaded CI boxes).
-    fn wait_ready(&self) {
+    /// Fails at once, with the exit status and stderr, if the process
+    /// exits first.
+    fn wait_ready(&mut self) {
         let deadline = Instant::now() + Duration::from_secs(20);
         while Instant::now() < deadline {
             if ndjson(&self.addr, "{\"cmd\":\"metrics\"}").is_ok() {
                 return;
             }
+            if let Ok(Some(status)) = self.child.try_wait() {
+                panic!(
+                    "backend {} exited before becoming ready ({status}); stderr:\n{}",
+                    self.addr,
+                    self.stderr_text()
+                );
+            }
             std::thread::sleep(Duration::from_millis(20));
         }
-        panic!("backend {} never became ready", self.addr);
+        panic!(
+            "backend {} never became ready; stderr:\n{}",
+            self.addr,
+            self.stderr_text()
+        );
+    }
+
+    fn stderr_text(&self) -> String {
+        std::fs::read_to_string(&self.stderr).unwrap_or_else(|e| format!("(unreadable: {e})"))
     }
 
     fn kill(&mut self) {
@@ -119,6 +152,7 @@ impl Backend {
 impl Drop for Backend {
     fn drop(&mut self) {
         self.kill();
+        let _ = std::fs::remove_file(&self.stderr);
     }
 }
 

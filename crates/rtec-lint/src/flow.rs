@@ -20,18 +20,9 @@ use crate::checks::diag;
 use crate::model::DescriptionModel;
 use crate::{codes, Diagnostic};
 use rtec::ast::FluentKey;
-use rtec::description::EventDescription;
 use rtec::error::Severity;
 use rtec_analysis::{Analysis, EmptyReason, RuleKind};
 use std::collections::BTreeSet;
-
-/// Runs the whole-program flow analysis. `None` when the description
-/// does not compile to a plan (e.g. a dependency cycle — `RL0301`
-/// already reports that), in which case the `RL1xxx` passes are
-/// skipped and `dead_rules` falls back to its local heuristic.
-pub fn compute(desc: &EventDescription) -> Option<Analysis> {
-    desc.compile().ok().map(|c| rtec_analysis::analyze(&c))
-}
 
 /// The defined fluents that can never hold under lint semantics —
 /// consumed by `dead_rules` part (b) so that `RL0501` also fires for

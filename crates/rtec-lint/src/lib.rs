@@ -62,7 +62,8 @@
 
 use rtec::description::EventDescription;
 use rtec::error::{Pos, RtecError, Severity};
-use rtec::validate::{validate, SysSymbols};
+use rtec::validate::SysSymbols;
+use rtec_plan::FrontEnd;
 use serde_json::Value;
 use std::collections::BTreeMap;
 
@@ -274,15 +275,24 @@ impl AnalysisReport {
     }
 }
 
-/// Analyses a lenient-parsed source string: shorthand for
-/// [`EventDescription::parse_lenient`] followed by [`analyze`].
+/// Analyses a lenient-parsed source string: shorthand for [`lint`] over
+/// [`FrontEnd::lenient`].
 pub fn analyze_source(src: &str) -> AnalysisReport {
-    analyze(&EventDescription::parse_lenient(src))
+    lint(&FrontEnd::lenient(src))
 }
 
-/// Runs every analysis pass over `desc` and returns the collected
-/// diagnostics, ordered by clause index then code.
+/// Runs every analysis pass over `desc`: shorthand for [`lint`] over
+/// [`FrontEnd::from_parsed`].
 pub fn analyze(desc: &EventDescription) -> AnalysisReport {
+    lint(&FrontEnd::from_parsed(String::new(), desc.clone()))
+}
+
+/// Runs every analysis pass over a description's front-end value and
+/// returns the collected diagnostics, ordered by clause index then
+/// code. Reads the value's parse, validated rules, compiled description
+/// and plan; validates, compiles and lowers nothing itself.
+pub fn lint(front: &FrontEnd) -> AnalysisReport {
+    let desc = &front.parsed;
     let mut diagnostics = Vec::new();
 
     // RL0001: syntax errors recorded by the lenient parser.
@@ -302,9 +312,11 @@ pub fn analyze(desc: &EventDescription) -> AnalysisReport {
     }
 
     // Per-clause validation (Definitions 2.2/2.4), forwarded as RL0002.
+    // Validation interns only the reserved names, so interning them
+    // into the parse's table rebuilds the table it validated against.
     let mut symbols = desc.symbols.clone();
     let sys = SysSymbols::intern(&mut symbols);
-    let validated = validate(&desc.clauses, &mut symbols);
+    let validated = &front.validated;
     for issue in &validated.report.issues {
         diagnostics.push(Diagnostic {
             code: codes::INVALID_CLAUSE,
@@ -317,10 +329,16 @@ pub fn analyze(desc: &EventDescription) -> AnalysisReport {
     }
 
     // Whole-description semantic passes over the validated rule set.
-    let model = DescriptionModel::build(desc, &validated, &sys, &mut symbols);
+    let model = DescriptionModel::build(desc, validated, &sys, &mut symbols);
     // Whole-program flow analysis (rtec-analysis): absent when the
-    // description does not compile to an evaluation plan.
-    let flow = flow::compute(desc);
+    // description does not compile (e.g. a dependency cycle, which
+    // RL0301 reports); `dead_rules` then falls back to its local
+    // heuristic.
+    let flow = front
+        .compiled
+        .as_ref()
+        .ok()
+        .map(|c| rtec_analysis::analyze(&c.desc, &c.plan));
     let flow_never_holds = flow.as_ref().map(|a| flow::never_holding(a, &model));
     checks::undefined_references(&model, &mut diagnostics);
     checks::arity_consistency(&model, &mut diagnostics);

@@ -22,11 +22,13 @@
 //! installed with [`WithPlan::with_plan`] or
 //! [`rtec::engine::Engine::set_evaluator`]. It is what the service and
 //! the CLI run: a session compiles one plan when it opens and shares it
-//! with every shard engine. A plan is *observationally identical* to
-//! the interpreter, which stays as the reference semantics — same
-//! derived intervals, same inertia carries, same warnings in the same
-//! order — so checkpoints and recognition output are byte-for-byte
-//! independent of the evaluator.
+//! with every shard engine. [`FrontEnd`] is the one pass that produces
+//! it — parse, validate, compile, lower — and that the linter, the flow
+//! analysis and the session all read. A plan is *observationally
+//! identical* to the interpreter, which stays as the reference
+//! semantics — same derived intervals, same inertia carries, same
+//! warnings in the same order — so checkpoints and recognition output
+//! are byte-for-byte independent of the evaluator.
 //!
 //! ```
 //! use rtec::description::EventDescription;
@@ -63,8 +65,11 @@
 pub mod arith;
 mod exec;
 pub mod frame;
+mod front;
 pub mod ir;
 pub mod lower;
+
+pub use front::{Compiled, FrontEnd};
 
 use crate::ir::Stratum;
 use rtec::ast::FluentKey;

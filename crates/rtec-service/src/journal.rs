@@ -34,11 +34,11 @@
 //!
 //! After each durable checkpoint the journal is rewritten keeping only
 //! the open record and frames beyond the checkpointed sequence (the
-//! rewrite goes through [`crate::persist::write_durable`]: temp file,
-//! `sync_all`, rename, directory sync). Rotating *after* the checkpoint
-//! rename means a crash between the two leaves extra covered frames in
-//! the file — recovery skips them by sequence number, so the window is
-//! benign.
+//! rewrite goes through `persist::write_durable`, as checkpoint saves
+//! do: temp file, `sync_all`, rename, directory sync). Rotating *after*
+//! the checkpoint rename means a crash between the two leaves extra
+//! covered frames in the file — recovery skips them by sequence number,
+//! so the window is benign.
 //!
 //! ## Fsync policy
 //!

@@ -23,6 +23,7 @@ use crate::protocol::{
 use crate::session::{Ingest, Session, SessionConfig};
 use parking_lot::Mutex;
 use rtec::reorder::DeadLetterReason;
+use rtec_plan::FrontEnd;
 use serde_json::Value;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -198,13 +199,16 @@ impl Registry {
         if sessions.contains_key(name) {
             return Err(format!("session \"{name}\" already exists").into());
         }
-        // Semantic gate: descriptions that parse but are semantically
-        // broken (undefined fluents under declarations, dependency
-        // cycles, unsafe variables, …) are rejected up front with the
-        // analyzer's findings attached. Syntax and per-clause validation
-        // errors are left to `Session::open` so their wire behaviour
-        // (plain `bad_request`) is unchanged.
-        let lint = rtec_lint::analyze_source(description);
+        // One front-end pass: the lint below and the session read the
+        // same parse, compiled description and plan.
+        let front = FrontEnd::lenient(description);
+        // Semantic gate: descriptions that are semantically broken
+        // (undefined fluents under declarations, dependency cycles,
+        // unsafe variables, …) are rejected up front with the analyzer's
+        // findings attached. A syntax error is a plain `bad_request`
+        // carrying the first one (what a strict parse reports), and
+        // invalid clauses are set aside by compilation.
+        let lint = rtec_lint::lint(&front);
         if lint.has_semantic_errors() {
             let summary: Vec<&str> = lint.semantic_errors().map(|d| d.code).collect();
             return Err(ServiceError::new(
@@ -217,7 +221,10 @@ impl Registry {
             )
             .with_details(lint.to_json()));
         }
-        let session = Session::open(name, description, config)?;
+        if let Some(err) = front.parsed.parse_errors.first() {
+            return Err(format!("description: {err}").into());
+        }
+        let session = Session::open(name, front, config)?;
         // A fresh session starts a fresh journal whose first record is
         // the open request itself, so a crash before the first
         // checkpoint can still rebuild the session from the journal

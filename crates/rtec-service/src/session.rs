@@ -42,7 +42,7 @@ use crate::router::{PendingItem, Route, Router, RouterSnapshot};
 use crate::worker::{ShardWorker, WorkerMsg, WorkerOptions};
 use crossbeam::channel::bounded;
 use rtec::checkpoint::EngineCheckpoint;
-use rtec::description::{CompiledDescription, EventDescription};
+use rtec::description::CompiledDescription;
 use rtec::engine::{EngineConfig, EngineStats, RecognitionOutput};
 use rtec::interval::IntervalList;
 use rtec::parallel::{FirstArgPartitioner, Partitioner};
@@ -51,7 +51,7 @@ use rtec::term::{GroundFvp, Term};
 use rtec::{SymbolTable, Timepoint};
 use rtec_obs::profile::ProfileAggregate;
 use rtec_obs::Histogram;
-use rtec_plan::Plan;
+use rtec_plan::{Compiled, FrontEnd, Plan};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -263,31 +263,27 @@ const SESSION_DEAD_LETTER_CAP: usize = 1024;
 const STAMP_CAP: usize = 65536;
 
 impl Session {
-    /// Compiles `description_src` and spawns the shard workers.
-    pub fn open(
+    /// Opens a session over a description's front-end value and spawns
+    /// the shard workers, which share its compiled description and
+    /// plan. A `&str` converts by strict parse, compile and lower; the
+    /// service hands over the value it already linted.
+    pub fn open<D>(
         name: impl Into<String>,
-        description_src: &str,
+        description: D,
         config: SessionConfig,
-    ) -> Result<Session, String> {
-        let desc =
-            EventDescription::parse(description_src).map_err(|e| format!("description: {e}"))?;
-        let compiled = Arc::new(desc.compile().map_err(|e| format!("description: {e}"))?);
+    ) -> Result<Session, String>
+    where
+        D: TryInto<FrontEnd>,
+        D::Error: std::fmt::Display,
+    {
+        let front: FrontEnd = description
+            .try_into()
+            .map_err(|e| format!("description: {e}"))?;
+        let Compiled { desc, plan } = front.compiled.map_err(|e| format!("description: {e}"))?;
         let engine_config = engine_config_for(&config)?;
         if config.shards == 0 {
             return Err("shards must be >= 1".into());
         }
-        let plan = Arc::new(Plan::compile(&compiled));
-        let workers = (0..config.shards)
-            .map(|shard| {
-                ShardWorker::spawn(
-                    Arc::clone(&compiled),
-                    engine_config,
-                    worker_options(&plan, &config),
-                    config.queue_capacity,
-                    shard,
-                )
-            })
-            .collect();
         let name = name.into();
         crate::obs::metrics().sessions_opened.inc();
         rtec_obs::info(
@@ -300,12 +296,12 @@ impl Session {
                 ("incremental", config.incremental.into()),
             ],
         );
-        Ok(Session {
+        let mut session = Session {
             name,
-            master: compiled.symbols.clone(),
-            desc: compiled,
+            master: desc.symbols.clone(),
+            desc,
             plan,
-            workers,
+            workers: Vec::with_capacity(config.shards),
             shard_states: (0..config.shards).map(|_| ShardState::new()).collect(),
             router: Router::new(config.shards),
             partitioner: FirstArgPartitioner,
@@ -316,7 +312,7 @@ impl Session {
             },
             config,
             engine_config,
-            description_src: description_src.to_string(),
+            description_src: front.source,
             quarantined: None,
             reorder: config
                 .reorder_slack
@@ -328,13 +324,18 @@ impl Session {
             flight: FlightRecorder::new(),
             arrival_stamps: Vec::new(),
             release_stamps: Vec::new(),
-        })
+        };
+        session.workers = (0..config.shards)
+            .map(|shard| session.spawn_worker(shard))
+            .collect();
+        Ok(session)
     }
 
     /// Rebuilds a session from persisted parts: the original description
     /// source, a master symbol-name list, a router snapshot and one
-    /// engine checkpoint per shard. Workers resume from their
-    /// checkpoints; the tick-latency histogram starts fresh.
+    /// engine checkpoint per shard. Opens the session, then resumes every
+    /// shard from its checkpoint; the tick-latency histogram starts
+    /// fresh.
     pub fn reopen(
         name: impl Into<String>,
         description_src: &str,
@@ -344,10 +345,9 @@ impl Session {
         shard_checkpoints: Vec<EngineCheckpoint>,
         stats: SessionStats,
     ) -> Result<Session, String> {
-        let desc =
-            EventDescription::parse(description_src).map_err(|e| format!("description: {e}"))?;
-        let compiled = Arc::new(desc.compile().map_err(|e| format!("description: {e}"))?);
-        let engine_config = engine_config_for(&config)?;
+        // Everything that can refuse the checkpoint is checked before
+        // the session opens, so a refused restore spawns nothing.
+        let front = FrontEnd::try_from(description_src).map_err(|e| format!("description: {e}"))?;
         if shard_checkpoints.len() != config.shards {
             return Err(format!(
                 "checkpoint has {} shard(s), config wants {}",
@@ -359,68 +359,57 @@ impl Session {
         for name in master_names {
             master.intern(name);
         }
-        for (sym, name) in compiled.symbols.iter() {
-            if master.try_name(sym) != Some(name) {
-                return Err("session checkpoint symbols do not extend the description".into());
+        if let Ok(compiled) = &front.compiled {
+            for (sym, name) in compiled.desc.symbols.iter() {
+                if master.try_name(sym) != Some(name) {
+                    return Err("session checkpoint symbols do not extend the description".into());
+                }
             }
         }
         let router = Router::restore(router)?;
-        let plan = Arc::new(Plan::compile(&compiled));
-        let workers = shard_checkpoints
-            .iter()
-            .enumerate()
-            .map(|(shard, cp)| {
-                ShardWorker::respawn(
-                    Arc::clone(&compiled),
-                    engine_config,
-                    worker_options(&plan, &config),
-                    config.queue_capacity,
-                    shard,
-                    cp.clone(),
-                )
-            })
+        let mut session = Session::open(name, front, config)?;
+        session.master = master;
+        session.router = router;
+        session.stats = stats;
+        // The fresh workers `open` spawned are joined before their
+        // replacements start, so no more shard threads are alive at once
+        // than the session has shards.
+        for fresh in std::mem::take(&mut session.workers) {
+            fresh.drain()?;
+        }
+        for (state, checkpoint) in session.shard_states.iter_mut().zip(shard_checkpoints) {
+            state.checkpoint = Some(checkpoint);
+        }
+        session.workers = (0..config.shards)
+            .map(|shard| session.spawn_worker(shard))
             .collect();
-        let name = name.into();
-        crate::obs::metrics().sessions_opened.inc();
         rtec_obs::info(
             "session.reopen",
             &[
-                ("session", name.as_str().into()),
+                ("session", session.name.as_str().into()),
                 ("shards", config.shards.into()),
-                ("processed_to", stats.processed_to.into()),
+                ("processed_to", session.stats.processed_to.into()),
             ],
         );
-        Ok(Session {
-            name,
-            master,
-            desc: compiled,
-            plan,
-            workers,
-            shard_states: shard_checkpoints
-                .into_iter()
-                .map(|cp| ShardState {
-                    checkpoint: Some(cp),
-                    replay: Vec::new(),
-                })
-                .collect(),
-            router,
-            partitioner: FirstArgPartitioner,
-            stats,
-            config,
-            engine_config,
-            description_src: description_src.to_string(),
-            quarantined: None,
-            reorder: config
-                .reorder_slack
-                .map(|slack| ReorderBuffer::new(slack, config.dedup)),
-            ledger: DeadLetterLedger::new(SESSION_DEAD_LETTER_CAP),
-            events_since_tick: 0,
-            shed_since_tick: 0,
-            profile_agg: ProfileAggregate::new(),
-            flight: FlightRecorder::new(),
-            arrival_stamps: Vec::new(),
-            release_stamps: Vec::new(),
-        })
+        Ok(session)
+    }
+
+    /// Spawns the worker of `shard`: resumed from the shard's checkpoint
+    /// when it has one, fresh otherwise.
+    fn spawn_worker(&self, shard: usize) -> ShardWorker {
+        let desc = Arc::clone(&self.desc);
+        let options = WorkerOptions {
+            plan: Arc::clone(&self.plan),
+            profile: self.config.profile,
+        };
+        ShardWorker::spawn(
+            desc,
+            self.engine_config,
+            options,
+            self.config.queue_capacity,
+            shard,
+            self.shard_states[shard].checkpoint.clone(),
+        )
     }
 
     /// Restores ingestion-layer state captured alongside the shard
@@ -738,23 +727,7 @@ impl Session {
         let base = 2 * self.stats.worker_restarts.min(5);
         let jitter = respawn_jitter_ms(&self.name, shard, self.stats.worker_restarts);
         std::thread::sleep(Duration::from_millis(base + jitter));
-        let worker = match &self.shard_states[shard].checkpoint {
-            Some(cp) => ShardWorker::respawn(
-                Arc::clone(&self.desc),
-                self.engine_config,
-                worker_options(&self.plan, &self.config),
-                self.config.queue_capacity,
-                shard,
-                cp.clone(),
-            ),
-            None => ShardWorker::spawn(
-                Arc::clone(&self.desc),
-                self.engine_config,
-                worker_options(&self.plan, &self.config),
-                self.config.queue_capacity,
-                shard,
-            ),
-        };
+        let worker = self.spawn_worker(shard);
         for item in &self.shard_states[shard].replay {
             let msg = match item {
                 PendingItem::Event(ev, t) => WorkerMsg::Event(ev.clone(), *t),
@@ -1237,13 +1210,6 @@ fn respawn_jitter_ms(session: &str, shard: usize, restarts: u64) -> u64 {
     h % (3 * restarts.min(5) + 1)
 }
 
-fn worker_options(plan: &Arc<Plan>, config: &SessionConfig) -> WorkerOptions {
-    WorkerOptions {
-        plan: Arc::clone(plan),
-        profile: config.profile,
-    }
-}
-
 fn engine_config_for(config: &SessionConfig) -> Result<EngineConfig, String> {
     let base = match config.window {
         Some(w) if w > 0 => EngineConfig::windowed(w),
@@ -1269,6 +1235,7 @@ fn engine_config_for(config: &SessionConfig) -> Result<EngineConfig, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtec::description::EventDescription;
 
     const DESC: &str = "
         initiatedAt(busy(V)=true, T) :- happensAt(start(V), T).

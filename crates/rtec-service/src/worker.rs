@@ -19,7 +19,7 @@
 //! an injected fault from [`crate::fault`]) is caught inside the worker
 //! thread: the worker logs it, drops its receiver, and exits. The
 //! session observes the disconnected channel on its next send/receive
-//! and respawns the shard with [`ShardWorker::respawn`], restoring the
+//! and respawns the shard with [`ShardWorker::spawn`], restoring the
 //! engine from the session's last [`EngineCheckpoint`] — the panic never
 //! crosses into the server process.
 
@@ -72,35 +72,13 @@ pub struct ShardWorker {
 }
 
 impl ShardWorker {
-    /// Spawns a fresh worker for `shard` over `desc` with a queue of
-    /// `capacity` items.
-    pub fn spawn(
-        desc: Arc<CompiledDescription>,
-        config: EngineConfig,
-        options: WorkerOptions,
-        capacity: usize,
-        shard: usize,
-    ) -> ShardWorker {
-        ShardWorker::spawn_inner(desc, config, options, capacity, shard, None)
-    }
-
-    /// Spawns a replacement worker whose engine resumes from
-    /// `checkpoint` (taken from the crashed predecessor at the last tick
-    /// boundary). If the checkpoint does not match `desc`, the worker
-    /// logs the error and exits immediately; the supervisor observes the
+    /// Spawns the worker for `shard` over `desc` with a queue of
+    /// `capacity` items. With a `checkpoint` (taken from a crashed
+    /// predecessor at the last tick boundary, or persisted) the engine
+    /// resumes from it; if it does not match `desc`, the worker logs the
+    /// error and exits immediately, and the supervisor observes the
     /// disconnected channel.
-    pub fn respawn(
-        desc: Arc<CompiledDescription>,
-        config: EngineConfig,
-        options: WorkerOptions,
-        capacity: usize,
-        shard: usize,
-        checkpoint: EngineCheckpoint,
-    ) -> ShardWorker {
-        ShardWorker::spawn_inner(desc, config, options, capacity, shard, Some(checkpoint))
-    }
-
-    fn spawn_inner(
+    pub fn spawn(
         desc: Arc<CompiledDescription>,
         config: EngineConfig,
         options: WorkerOptions,
@@ -292,6 +270,7 @@ mod tests {
             options(&compiled, true),
             4,
             0,
+            None,
         );
 
         let up = rtec::parser::parse_term("up(a)", &mut master).unwrap();
@@ -332,6 +311,7 @@ mod tests {
             options(&compiled, false),
             4,
             0,
+            None,
         );
         let up = rtec::parser::parse_term("up(a)", &mut master).unwrap();
         w.send(WorkerMsg::Event(up, 5)).ok().unwrap();
@@ -356,6 +336,7 @@ mod tests {
             options(&compiled, false),
             4,
             0,
+            None,
         );
 
         let up = rtec::parser::parse_term("up(a)", &mut master).unwrap();
@@ -369,13 +350,13 @@ mod tests {
         let cp = rx.recv().unwrap();
         drop(w); // simulate the first worker dying
 
-        let w2 = ShardWorker::respawn(
+        let w2 = ShardWorker::spawn(
             Arc::clone(&compiled),
             config,
             options(&compiled, false),
             4,
             0,
-            *cp,
+            Some(*cp),
         );
         w2.send(WorkerMsg::Event(down, 14)).ok().unwrap();
         let (tx, rx) = bounded(1);
@@ -396,7 +377,7 @@ mod tests {
     fn dead_worker_hands_the_message_back() {
         let (compiled, mut master) = compiled();
         let opts = options(&compiled, false);
-        let mut w = ShardWorker::spawn(compiled, EngineConfig::default(), opts, 4, 0);
+        let mut w = ShardWorker::spawn(compiled, EngineConfig::default(), opts, 4, 0, None);
         // Kill the worker via Drain and join so the receiver is dropped.
         let (tx, rx) = bounded(1);
         w.send(WorkerMsg::Drain(tx)).ok().unwrap();

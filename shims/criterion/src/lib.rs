@@ -151,18 +151,27 @@ pub struct Bencher {
 impl Bencher {
     /// Measures `f`, storing mean nanoseconds per call.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        if self.smoke_only {
-            std::hint::black_box(f());
-            return;
-        }
-        std::hint::black_box(f()); // warm-up
-        let mut iters = 1u64;
-        loop {
+        self.iter_custom(|iters| {
             let start = Instant::now();
             for _ in 0..iters {
                 std::hint::black_box(f());
             }
-            let elapsed = start.elapsed();
+            start.elapsed()
+        });
+    }
+
+    /// Measures a routine that times itself: `f(iters)` runs `iters`
+    /// iterations and returns the time they took, so per-iteration setup
+    /// and teardown can stay off the clock (criterion's `iter_custom`).
+    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut f: F) {
+        if self.smoke_only {
+            f(1);
+            return;
+        }
+        f(1); // warm-up
+        let mut iters = 1u64;
+        loop {
+            let elapsed = f(iters);
             if elapsed >= Duration::from_millis(50) || iters >= 1 << 22 {
                 self.nanos_per_iter = elapsed.as_nanos() as f64 / iters as f64;
                 return;
