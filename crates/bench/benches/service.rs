@@ -1,11 +1,13 @@
 //! Streaming-service throughput: the maritime critical-event stream
 //! replayed through an in-process rtec-service session (ingest → tick →
-//! query), at several shard counts, measured in events per second.
+//! query), at several shard counts, measured in events per second; and
+//! the same replay with a write-ahead journal attached.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use maritime::{BrestScenario, Dataset};
-use rtec_service::{Session, SessionConfig};
+use rtec_service::{FsyncPolicy, Journal, Session, SessionConfig};
 use std::hint::black_box;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 struct Workload {
@@ -46,10 +48,54 @@ fn workload() -> Workload {
 }
 
 fn replay(w: &Workload, shards: usize, ticks: i64) -> usize {
-    replay_with(w, shards, ticks, None)
+    replay_with(w, shards, ticks, None, None)
 }
 
-fn replay_with(w: &Workload, shards: usize, ticks: i64, reorder_slack: Option<i64>) -> usize {
+/// Journal commit granularity: the `stream` client ships events in
+/// `batch` frames of 64, and the registry commits once per frame.
+const JOURNAL_BATCH: usize = 64;
+
+/// The service's ack discipline under `--journal-dir` on the `stream`
+/// path: every ingest is appended before it is applied, with one commit
+/// per 64-event batch and one before every tick.
+struct Wal {
+    journal: Journal,
+    pending: usize,
+}
+
+impl Wal {
+    fn create(dir: &Path) -> Wal {
+        let mut journal = Journal::create(dir, "bench", FsyncPolicy::Never).expect("journal");
+        let open = serde_json::from_str(r#"{"cmd":"open","session":"bench"}"#).unwrap();
+        journal.append_open(&open);
+        journal.commit().expect("commit open record");
+        Wal {
+            journal,
+            pending: 0,
+        }
+    }
+
+    fn event(&mut self, t: i64, ev: &str) {
+        self.journal.append_event(t, ev);
+        self.pending += 1;
+        if self.pending >= JOURNAL_BATCH {
+            self.commit();
+        }
+    }
+
+    fn commit(&mut self) {
+        self.journal.commit().expect("commit");
+        self.pending = 0;
+    }
+}
+
+fn replay_with(
+    w: &Workload,
+    shards: usize,
+    ticks: i64,
+    reorder_slack: Option<i64>,
+    mut wal: Option<Wal>,
+) -> usize {
     let mut session = Session::open(
         "bench",
         &w.gold,
@@ -63,6 +109,10 @@ fn replay_with(w: &Workload, shards: usize, ticks: i64, reorder_slack: Option<i6
     )
     .expect("open");
     for (fluent, value, pairs) in &w.intervals {
+        if let Some(wal) = &mut wal {
+            wal.journal.append_intervals(fluent, value, pairs);
+            wal.commit();
+        }
         session
             .ingest_intervals(fluent, value, pairs)
             .expect("intervals");
@@ -71,10 +121,19 @@ fn replay_with(w: &Workload, shards: usize, ticks: i64, reorder_slack: Option<i6
     let mut next_tick = step;
     for &(t, ref ev) in &w.events {
         if t >= next_tick {
+            if let Some(wal) = &mut wal {
+                wal.commit();
+            }
             session.tick(next_tick - 1).expect("tick");
             next_tick += ((t - next_tick) / step + 1) * step;
         }
+        if let Some(wal) = &mut wal {
+            wal.event(t, ev);
+        }
         session.ingest_event(ev, t).expect("event");
+    }
+    if let Some(wal) = &mut wal {
+        wal.commit();
     }
     session.tick(w.horizon).expect("final tick");
     let (out, _) = session.query().expect("query");
@@ -105,8 +164,25 @@ fn bench_service(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("replay_maritime_reorder0", 1usize),
         &1usize,
-        |b, &shards| b.iter(|| black_box(replay_with(&w, shards, 12, Some(0)))),
+        |b, &shards| b.iter(|| black_box(replay_with(&w, shards, 12, Some(0), None))),
     );
+    // Write-ahead journal overhead (docs/ROBUSTNESS.md) at fsync
+    // `never`: compare with `replay_maritime/2`. Journaling must not
+    // change what the session recognises.
+    let dir = std::env::temp_dir().join(format!("rtec-bench-journal-{}", std::process::id()));
+    let expected = replay(&w, 2, 12);
+    group.bench_with_input(
+        BenchmarkId::new("replay_maritime_journaled", 2usize),
+        &2usize,
+        |b, &shards| {
+            b.iter(|| {
+                let n = replay_with(&w, shards, 12, None, Some(Wal::create(&dir)));
+                assert_eq!(n, expected, "journaling changed the output");
+                n
+            })
+        },
+    );
+    let _ = std::fs::remove_dir_all(&dir);
     group.finish();
     // The replays above exercised every instrumented hot path; the
     // exposition they produced must be well-formed Prometheus text.

@@ -3,7 +3,8 @@
 //! One bench target exists per experimental artefact: `similarity`
 //! (Figure 2a/2b metric cost), `recognition` (Figure 2c engine
 //! throughput and the window ablation), plus micro-benchmarks for the
-//! load-bearing algorithms (`hungarian`, `parser`, `intervals`).
+//! load-bearing algorithms (`hungarian`, `parser`, `intervals`) and the
+//! streaming service (`service`, `scale`, `checkpoint`).
 
 #![forbid(unsafe_code)]
 

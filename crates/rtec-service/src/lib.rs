@@ -2,10 +2,11 @@
 //!
 //! Hosts many concurrent recognition sessions in one long-running
 //! process. Each [`session::Session`] owns a compiled event description,
-//! a master symbol table, and a pool of entity-sharded engine workers
-//! (the same partitioning scheme as
-//! [`rtec::parallel::recognize_partitioned`], made incremental by
-//! [`router::Router`]). Events flow through bounded queues with explicit
+//! a master symbol table, and a pool of entity-sharded engine workers:
+//! [`router::Router`] groups entities with a union-find over coupling
+//! inputs and pins each group to a shard round-robin in discovery order,
+//! which matches a single engine when every coupling arrives before the
+//! first tick. Events flow through bounded queues with explicit
 //! backpressure accounting; query-time *ticks* drive incremental
 //! `run_to` evaluation per shard; per-shard outputs merge with
 //! [`rtec::engine::RecognitionOutput::absorb`].

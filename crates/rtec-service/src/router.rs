@@ -1,19 +1,17 @@
 //! Entity-to-shard routing for a streaming session.
 //!
-//! Reproduces the partitioning scheme of
-//! [`rtec::parallel::recognize_partitioned`] incrementally: entities are
-//! grouped into interaction components with a union-find over coupling
-//! inputs (multi-entity events, input-fluent instances such as
+//! Entities (named by an [`rtec::parallel::Partitioner`]) are grouped
+//! into interaction components with a union-find over coupling inputs
+//! (multi-entity events, input-fluent instances such as
 //! `proximity(v1, v2)`), and components are pinned to shards round-robin
 //! in entity-discovery order.
 //!
 //! Pinning is deferred: items whose component is not pinned yet are
 //! buffered, and every buffered component is pinned at the next *flush*
 //! (a tick or a drain). When **all couplings arrive before the first
-//! tick** — the contract of the batch partitioner, and the natural shape
-//! of a stream whose proximity intervals are declared up front — the
-//! resulting assignment is identical to the batch one, so the merged
-//! output is identical to a single-engine run.
+//! tick** — the natural shape of a stream whose proximity intervals are
+//! declared up front — no rule joins entities on different shards, so
+//! the merged output is identical to a single-engine run.
 //!
 //! A coupling that arrives *after* the components it joins were pinned
 //! to different shards cannot be honoured without re-sharding; it is

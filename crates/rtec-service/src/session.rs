@@ -254,6 +254,10 @@ pub struct Session {
     release_stamps: Vec<(Timepoint, Instant)>,
 }
 
+/// Most engine shards a session may run: each shard is one OS thread,
+/// so the bound keeps one `open` frame from starting thousands.
+const MAX_SHARDS: usize = 64;
+
 /// Recent refused-record entries retained per session (counts are exact
 /// regardless).
 const SESSION_DEAD_LETTER_CAP: usize = 1024;
@@ -281,8 +285,8 @@ impl Session {
             .map_err(|e| format!("description: {e}"))?;
         let Compiled { desc, plan } = front.compiled.map_err(|e| format!("description: {e}"))?;
         let engine_config = engine_config_for(&config)?;
-        if config.shards == 0 {
-            return Err("shards must be >= 1".into());
+        if !(1..=MAX_SHARDS).contains(&config.shards) {
+            return Err(format!("shards must be between 1 and {MAX_SHARDS}"));
         }
         let name = name.into();
         crate::obs::metrics().sessions_opened.inc();

@@ -12,8 +12,7 @@
 //! table. Worker engines keep their own (description-seeded) tables for
 //! internal use, but never re-intern input terms — master symbol ids are
 //! append-only and shared, which is what makes per-shard outputs
-//! mergeable and renderable against the master table (the same scheme as
-//! [`rtec::parallel::recognize_partitioned`]).
+//! mergeable and renderable against the master table.
 //!
 //! **Crash containment.** A panic while processing a message (a bug, or
 //! an injected fault from [`crate::fault`]) is caught inside the worker

@@ -151,10 +151,11 @@ fn malformed_corpus_gets_structured_errors_and_session_survives() {
 #[test]
 fn specific_codes_are_stable() {
     let registry = Registry::new();
-    let case = |line: &str, want: &str| {
+    let case = |line: &str, want: &str| -> Value {
         let v: Value = serde_json::from_str(&registry.dispatch(line)).unwrap();
         assert_eq!(v["ok"], false, "{line}: {v:?}");
         assert_eq!(v["code"], want, "{line}: {v:?}");
+        v
     };
     case("garbage", "bad_frame");
     case("{\"cmd\":\"zap\"}", "unknown_command");
@@ -163,6 +164,13 @@ fn specific_codes_are_stable() {
         "no_such_session",
     );
     case("{\"cmd\":\"open\"}", "bad_request");
+    // Each shard is one OS thread: `shards` is bounded to 1..=64.
+    for shards in [0, 65] {
+        let open = open_frame("sharded");
+        let open = format!("{},\"shards\":{shards}}}", open.trim_end_matches('}'));
+        let v = case(&open, "bad_request");
+        assert_eq!(v["error"], "shards must be between 1 and 64");
+    }
     let open = open_frame("dup");
     let v: Value = serde_json::from_str(&registry.dispatch(&open)).unwrap();
     assert_eq!(v["ok"], true);

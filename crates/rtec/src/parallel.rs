@@ -1,14 +1,15 @@
-//! Entity-partitioned parallel recognition.
+//! Entity extraction for entity-sharded recognition.
 //!
 //! Composite maritime activities are *relational*: most are per-vessel,
 //! some (tugging, pilot boarding) relate vessels that interact. Two
 //! vessels can only affect each other's activities if some input couples
-//! them (here: a `proximity` interval or a shared event). This module
-//! exploits that: it groups entities into *interaction components* with a
-//! union-find over the coupling inputs, distributes components across
-//! shards, runs one [`Engine`] per shard on its own thread (crossbeam
-//! scoped threads), and merges the shard outputs (a `parking_lot` mutex
-//! guards the accumulator).
+//! them (here: a `proximity` interval or a shared event). A
+//! [`Partitioner`] names the entities each input item mentions; a
+//! sharded consumer (the streaming service's router) groups entities
+//! into *interaction components* with a union-find over the coupling
+//! inputs, pins components to shards round-robin in entity-discovery
+//! order, runs one [`Engine`](crate::Engine) per shard, and merges the
+//! shard outputs.
 //!
 //! # Correctness contract
 //!
@@ -16,17 +17,11 @@
 //! components. Couplings are derived from the input stream (events that
 //! mention several entities, input fluents such as `proximity` over
 //! entity pairs), which covers event descriptions — like the maritime
-//! one — whose only cross-entity joins go through such inputs. The
-//! partitioned output is tested to be identical to a single-engine run.
+//! one — whose only cross-entity joins go through such inputs. When every
+//! coupling arrives before the first evaluation, the sharded output is
+//! identical to a single-engine run.
 
-use crate::description::CompiledDescription;
-use crate::engine::{Engine, EngineConfig, RecognitionOutput};
-use crate::interval::Timepoint;
-use crate::stream::InputStream;
-use crate::symbol::SymbolTable;
 use crate::term::{GroundFvp, Term};
-use parking_lot::Mutex;
-use std::collections::HashMap;
 
 /// Extracts the entity terms an event or input FVP mentions.
 pub trait Partitioner: Sync {
@@ -59,274 +54,10 @@ impl Partitioner for FirstArgPartitioner {
     }
 }
 
-/// Parallel execution parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelConfig {
-    /// Number of shards/threads (>= 1).
-    pub threads: usize,
-    /// Per-shard engine configuration.
-    pub engine: EngineConfig,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            threads: 4,
-            engine: EngineConfig::default(),
-        }
-    }
-}
-
-/// Union-find over entity ids.
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> UnionFind {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
-        }
-        self.parent[x]
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra] = rb;
-        }
-    }
-}
-
-/// Runs recognition over `stream` partitioned into interaction
-/// components, in parallel, and returns the merged output plus the symbol
-/// table its terms are interned in.
-pub fn recognize_partitioned(
-    desc: &CompiledDescription,
-    stream: &InputStream,
-    horizon: Timepoint,
-    config: ParallelConfig,
-    partitioner: &dyn Partitioner,
-) -> (RecognitionOutput, SymbolTable) {
-    assert!(config.threads >= 1, "at least one thread required");
-
-    // Master symbol table: description symbols extended by the stream's.
-    let mut master = desc.symbols.clone();
-    let mut mapper = crate::term::SymbolMapper::new();
-    let events: Vec<(Term, Timepoint)> = stream
-        .events()
-        .iter()
-        .map(|(ev, t)| (mapper.translate(ev, &stream.symbols, &mut master), *t))
-        .collect();
-    let intervals: Vec<(GroundFvp, crate::interval::IntervalList)> = stream
-        .intervals()
-        .iter()
-        .map(|(fvp, list)| {
-            (
-                GroundFvp {
-                    fluent: mapper.translate(&fvp.fluent, &stream.symbols, &mut master),
-                    value: mapper.translate(&fvp.value, &stream.symbols, &mut master),
-                },
-                list.clone(),
-            )
-        })
-        .collect();
-
-    // 1. Entity discovery and interaction components.
-    let mut entity_ids: HashMap<Term, usize> = HashMap::new();
-    let id_of = |t: &Term, ids: &mut HashMap<Term, usize>| -> usize {
-        let next = ids.len();
-        *ids.entry(t.clone()).or_insert(next)
-    };
-    let mut couplings: Vec<Vec<usize>> = Vec::new();
-    let mut event_entity: Vec<Option<usize>> = Vec::with_capacity(events.len());
-    for (ev, _) in &events {
-        let ents = partitioner.event_entities(ev);
-        let ids: Vec<usize> = ents.iter().map(|e| id_of(e, &mut entity_ids)).collect();
-        event_entity.push(ids.first().copied());
-        if ids.len() > 1 {
-            couplings.push(ids);
-        }
-    }
-    let mut interval_entity: Vec<Option<usize>> = Vec::with_capacity(intervals.len());
-    for (fvp, _) in &intervals {
-        let ents = partitioner.fvp_entities(fvp);
-        let ids: Vec<usize> = ents.iter().map(|e| id_of(e, &mut entity_ids)).collect();
-        interval_entity.push(ids.first().copied());
-        if ids.len() > 1 {
-            couplings.push(ids);
-        }
-    }
-    let mut uf = UnionFind::new(entity_ids.len());
-    for group in couplings {
-        for w in group.windows(2) {
-            uf.union(w[0], w[1]);
-        }
-    }
-
-    // 2. Components -> shards, round-robin for balance.
-    let n_shards = config.threads;
-    let mut shard_of_component: HashMap<usize, usize> = HashMap::new();
-    let mut shard_of_entity: Vec<usize> = vec![0; entity_ids.len()];
-    for (e, slot) in shard_of_entity.iter_mut().enumerate() {
-        let root = uf.find(e);
-        let next = shard_of_component.len() % n_shards;
-        *slot = *shard_of_component.entry(root).or_insert(next);
-    }
-
-    // 3. Split the inputs. Entity-less items are broadcast to every
-    // shard; the merge is idempotent for them.
-    let mut shard_events: Vec<Vec<(Term, Timepoint)>> = vec![Vec::new(); n_shards];
-    for ((ev, t), ent) in events.into_iter().zip(&event_entity) {
-        match ent {
-            Some(e) => shard_events[shard_of_entity[*e]].push((ev, t)),
-            None => {
-                for bucket in &mut shard_events {
-                    bucket.push((ev.clone(), t));
-                }
-            }
-        }
-    }
-    let mut shard_intervals: Vec<Vec<(GroundFvp, crate::interval::IntervalList)>> =
-        vec![Vec::new(); n_shards];
-    for ((fvp, list), ent) in intervals.into_iter().zip(&interval_entity) {
-        match ent {
-            Some(e) => shard_intervals[shard_of_entity[*e]].push((fvp, list)),
-            None => {
-                for bucket in &mut shard_intervals {
-                    bucket.push((fvp.clone(), list.clone()));
-                }
-            }
-        }
-    }
-
-    // 4. One engine per shard, merged under a lock.
-    let merged: Mutex<RecognitionOutput> = Mutex::new(RecognitionOutput::default());
-    crossbeam::thread::scope(|scope| {
-        for (events, intervals) in shard_events.into_iter().zip(shard_intervals) {
-            let merged = &merged;
-            scope.spawn(move |_| {
-                let mut engine = Engine::new(desc, config.engine);
-                engine.add_events(events);
-                for (fvp, list) in intervals {
-                    engine.add_input_intervals(fvp, list);
-                }
-                engine.run_to(horizon);
-                let out = engine.into_output();
-                let mut guard = merged.lock();
-                guard.absorb(out);
-            });
-        }
-    })
-    .expect("shard thread panicked");
-
-    (merged.into_inner(), master)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::description::EventDescription;
-
-    const DESC: &str = "
-        initiatedAt(busy(V)=true, T) :- happensAt(start(V), T).
-        terminatedAt(busy(V)=true, T) :- happensAt(stop(V), T).
-        holdsFor(pair(V1, V2)=true, I) :-
-            holdsFor(near(V1, V2)=true, Ip),
-            holdsFor(busy(V1)=true, I1),
-            holdsFor(busy(V2)=true, I2),
-            intersect_all([Ip, I1, I2], I).
-    ";
-
-    fn build_stream(n: usize) -> InputStream {
-        let mut stream = InputStream::new();
-        for i in 0..n {
-            stream
-                .push_event_src(&format!("start(v{i})"), 10 + i as i64)
-                .unwrap();
-            stream
-                .push_event_src(&format!("stop(v{i})"), 100 + i as i64)
-                .unwrap();
-        }
-        // Couple v0 with v1.
-        let f = crate::parser::parse_term("near(v0, v1)", &mut stream.symbols).unwrap();
-        let v = crate::parser::parse_term("true", &mut stream.symbols).unwrap();
-        stream.push_intervals(
-            GroundFvp::new(f, v).unwrap(),
-            crate::interval::IntervalList::from_pairs(&[(0, 200)]),
-        );
-        stream
-    }
-
-    fn snapshot(out: &RecognitionOutput, sym: &SymbolTable) -> Vec<(String, String)> {
-        let mut v: Vec<(String, String)> = out
-            .iter()
-            .map(|(fvp, list)| (fvp.display(sym), list.to_string()))
-            .collect();
-        v.sort();
-        v
-    }
-
-    #[test]
-    fn parallel_output_equals_single_engine() {
-        let desc = EventDescription::parse(DESC).unwrap();
-        let compiled = desc.compile().unwrap();
-        let stream = build_stream(9);
-
-        let mut single = Engine::new(&compiled, EngineConfig::default());
-        stream.load_into(&mut single);
-        single.run_to(300);
-        let single_sym = single.symbols().clone();
-        let single_out = single.into_output();
-
-        for threads in [1, 2, 4, 8] {
-            let (par_out, par_sym) = recognize_partitioned(
-                &compiled,
-                &stream,
-                300,
-                ParallelConfig {
-                    threads,
-                    engine: EngineConfig::default(),
-                },
-                &FirstArgPartitioner,
-            );
-            assert_eq!(
-                snapshot(&single_out, &single_sym),
-                snapshot(&par_out, &par_sym),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn coupled_entities_share_a_shard() {
-        let desc = EventDescription::parse(DESC).unwrap();
-        let compiled = desc.compile().unwrap();
-        let stream = build_stream(4);
-        // With many shards, v0/v1 stay together thanks to the proximity
-        // coupling: pair(v0, v1) must still be recognised.
-        let (out, sym) = recognize_partitioned(
-            &compiled,
-            &stream,
-            300,
-            ParallelConfig {
-                threads: 8,
-                engine: EngineConfig::default(),
-            },
-            &FirstArgPartitioner,
-        );
-        let found = out
-            .iter()
-            .any(|(fvp, _)| fvp.display(&sym) == "pair(v0, v1)=true");
-        assert!(found, "pair activity lost by partitioning");
-    }
+    use crate::symbol::SymbolTable;
 
     #[test]
     fn first_arg_partitioner_extracts_entities() {

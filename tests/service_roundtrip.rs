@@ -56,16 +56,19 @@ fn in_process_session_matches_batch_engine() {
     let dataset = Dataset::generate(&BrestScenario::small());
     let horizon = dataset.horizon() + 1;
     let reference = batch_rows(&dataset, horizon);
-    assert!(!reference.is_empty());
+    // The pair activities survive sharding only if the router's
+    // union-find over proximity couplings co-locates their vessels.
+    for pair in ["tugging(", "pilotOps("] {
+        assert!(reference.iter().any(|(fvp, _)| fvp.starts_with(pair)));
+    }
     let gold = gold_source(&dataset);
     let file = stream_file_of(&dataset);
-
-    for shards in [1, 2, 4] {
+    let run = |shards: usize, window: Option<i64>| {
         let mut session = Session::open(
             "maritime",
             &gold,
             SessionConfig {
-                window: None,
+                window,
                 shards,
                 queue_capacity: 256,
                 ..SessionConfig::default()
@@ -85,10 +88,19 @@ fn in_process_session_matches_batch_engine() {
             .map(|(fvp, list)| (fvp.display(&symbols), list.to_string()))
             .collect();
         rows.sort();
+        (session, out, rows)
+    };
+
+    let (session, _, rows) = run(4, Some(3600));
+    assert_eq!(rows, reference, "windowed, shards=4");
+    assert!(session.stats().engine.windows > 1);
+    session.close().unwrap();
+
+    for shards in [1, 2, 4, 8] {
+        let (session, out, rows) = run(shards, None);
         assert_eq!(rows, reference, "shards={shards}");
         // A shard that received no instance of an input fluent may warn
-        // about it ("never holds") — the same artifact
-        // recognize_partitioned has. No events may ever be dropped.
+        // about it ("never holds"). No events may ever be dropped.
         assert!(
             out.warnings.iter().all(|w| !w.contains("dropped")),
             "shards={shards}: {:?}",
