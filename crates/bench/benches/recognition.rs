@@ -2,9 +2,12 @@
 //! ablation: RTEC's cost as a function of the processing window.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rtec::{Engine, EngineConfig};
+use maritime::{BrestScenario, Dataset};
+use rtec::description::CompiledDescription;
+use rtec::{Engine, EngineConfig, Timepoint};
 use rtec_plan::WithPlan;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn bench_recognition(c: &mut Criterion) {
     let dataset = bench::small_dataset();
@@ -69,5 +72,79 @@ fn bench_recognition(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_recognition);
+/// Loads `dataset` into a fresh engine built by `new`.
+fn loaded<'d>(
+    new: fn(&'d CompiledDescription, EngineConfig) -> Engine<'d>,
+    compiled: &'d CompiledDescription,
+    dataset: &Dataset,
+) -> Engine<'d> {
+    let mut engine = new(compiled, EngineConfig::default());
+    dataset.stream.load_into(&mut engine);
+    engine
+}
+
+/// Plan evaluation alone, the way `llm_grid` drives it: the four
+/// accepted grid descriptions over `BrestScenario::large()` seed 1, each
+/// windowless with 12 intermediate `run_to` steps plus the horizon.
+/// Engine construction and stream loading stay off the clock.
+fn bench_grid_plan(c: &mut Criterion) {
+    let dataset = Dataset::generate(&BrestScenario {
+        seed: 1,
+        ..BrestScenario::large()
+    });
+    let horizon = dataset.horizon() + 1;
+    let step = (horizon / 12).max(1);
+    let targets: Vec<Timepoint> = (1..=12).map(|k| step * k - 1).chain([horizon]).collect();
+    let compiled: Vec<CompiledDescription> = bench::grid_descriptions()
+        .iter()
+        .map(|(label, rules)| {
+            dataset
+                .with_background(rules)
+                .compile()
+                .unwrap_or_else(|e| panic!("{label} compiles: {e}"))
+        })
+        .collect();
+    let run = |engine: &mut Engine<'_>| {
+        for &to in &targets {
+            engine.run_to(to);
+        }
+    };
+    let rows = |engine: &Engine<'_>| {
+        let mut rows: Vec<String> = engine
+            .output()
+            .iter()
+            .map(|(fvp, list)| format!("{} = {list}", fvp.display(engine.symbols())))
+            .collect();
+        rows.sort();
+        rows
+    };
+    for desc in &compiled {
+        let mut interp = loaded(Engine::new, desc, &dataset);
+        let mut plan = loaded(Engine::with_plan, desc, &dataset);
+        run(&mut interp);
+        run(&mut plan);
+        assert_eq!(rows(&interp), rows(&plan), "plan and interpreter disagree");
+    }
+
+    let mut group = c.benchmark_group("recognition");
+    group.sample_size(10);
+    group.bench_function("grid_plan", |b| {
+        b.iter_custom(|iters| {
+            let mut spent = Duration::ZERO;
+            for _ in 0..iters {
+                for desc in &compiled {
+                    let mut engine = loaded(Engine::with_plan, desc, &dataset);
+                    let started = Instant::now();
+                    run(&mut engine);
+                    spent += started.elapsed();
+                    black_box(engine.output().len());
+                }
+            }
+            spent
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_recognition, bench_grid_plan);
 criterion_main!(benches);

@@ -13,8 +13,8 @@
 //! immutable while a rule body is being solved.
 
 use crate::arith::compare_frame;
-use crate::frame::{match_lterm, match_resolved, materialize, Frame};
-use crate::ir::{LBody, LStatic, LoweredSimple, LoweredStatic};
+use crate::frame::{match_fvp, match_lterm, materialize, Frame};
+use crate::ir::{LBody, LStatic, LTerm, LoweredSimple, LoweredStatic};
 use rtec::ast::{FluentKey, SimpleKind, StaticLiteral, StaticRule};
 use rtec::background::FactStore;
 use rtec::eval::arith::CompareOutcome;
@@ -25,6 +25,7 @@ use rtec::eval::WarningSink;
 use rtec::interval::{IntervalList, Timepoint};
 use rtec::symbol::{Symbol, SymbolTable};
 use rtec::term::{match_term, Bindings, GroundFvp, Term};
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Read-only evaluation context shared by all rules of one window.
@@ -201,19 +202,18 @@ fn solve_body(
                 }
                 return;
             }
-            let pattern = Term::Compound(ctx.eq, vec![fluent, value]);
+            // Non-ground: match fluent and value in place against the
+            // instances that can match, then check the match holds at t.
+            let candidates = cache.candidates(key, fluent.args().first());
             if *negated {
                 let mut any = false;
-                for inst in cache.instances(key) {
-                    if !cache.holds_at(inst, t) {
-                        continue;
-                    }
-                    let inst_term =
-                        Term::Compound(ctx.eq, vec![inst.fluent.clone(), inst.value.clone()]);
-                    if match_resolved(&pattern, &inst_term, frame) {
+                for inst in candidates {
+                    if match_fvp(&fluent, &value, inst, frame) {
                         frame.undo(mark);
-                        any = true;
-                        break;
+                        if cache.holds_at(inst, t) {
+                            any = true;
+                            break;
+                        }
                     }
                 }
                 if !any {
@@ -221,14 +221,11 @@ fn solve_body(
                     frame.undo(mark);
                 }
             } else {
-                for inst in cache.instances(key) {
-                    if !cache.holds_at(inst, t) {
-                        continue;
-                    }
-                    let inst_term =
-                        Term::Compound(ctx.eq, vec![inst.fluent.clone(), inst.value.clone()]);
-                    if match_resolved(&pattern, &inst_term, frame) {
-                        solve_body(ctx, cache, body, idx + 1, t, frame, warnings, on_solution);
+                for inst in candidates {
+                    if match_fvp(&fluent, &value, inst, frame) {
+                        if cache.holds_at(inst, t) {
+                            solve_body(ctx, cache, body, idx + 1, t, frame, warnings, on_solution);
+                        }
                         frame.undo(mark);
                     }
                 }
@@ -239,12 +236,11 @@ fn solve_body(
             pattern,
             sig_warn,
         } => {
-            let applied = materialize(pattern, frame);
             if let Some(w) = sig_warn {
                 warnings.push(w.clone());
             }
-            for fact in ctx.facts.candidates(&applied) {
-                if match_resolved(&applied, fact, frame) {
+            for fact in fact_candidates(ctx.facts, pattern, frame) {
+                if match_lterm(pattern, fact, frame) {
                     solve_body(ctx, cache, body, idx + 1, t, frame, warnings, on_solution);
                     frame.undo(mark);
                 }
@@ -255,13 +251,7 @@ fn solve_body(
             pattern,
             ..
         } => {
-            let applied = materialize(pattern, frame);
-            let exists = ctx
-                .facts
-                .candidates(&applied)
-                .iter()
-                .any(|fact| match_term(&applied, fact, &mut Bindings::new()));
-            if !exists {
+            if !any_fact_matches(ctx.facts, pattern, frame) {
                 solve_body(ctx, cache, body, idx + 1, t, frame, warnings, on_solution);
                 frame.undo(mark);
             }
@@ -279,6 +269,41 @@ fn solve_body(
     }
 }
 
+/// The background facts `pattern` can match under `frame`, to be matched
+/// with [`match_lterm`] — the same facts, in the same order, as
+/// [`FactStore::candidates`] of the materialized pattern. A compound or
+/// atom pattern is probed by its first argument's slot or constant
+/// without materializing it; only other shapes (a bare slot, a number,
+/// a list) are materialized to find their bucket.
+fn fact_candidates<'f>(facts: &'f FactStore, pattern: &LTerm, frame: &Frame<'_>) -> &'f [Term] {
+    match pattern {
+        LTerm::Atom(a) => facts.candidates_for((*a, 0), None),
+        LTerm::Compound(f, args) => {
+            let sig = (*f, args.len());
+            match args.first() {
+                Some(LTerm::Atom(a)) => facts.candidates_for(sig, Some(&Term::Atom(*a))),
+                Some(LTerm::Slot(i)) => facts.candidates_for(sig, frame.get_slot(*i)),
+                Some(nested @ (LTerm::Compound(..) | LTerm::List(_))) => {
+                    facts.candidates_for(sig, Some(&materialize(nested, frame)))
+                }
+                Some(LTerm::Int(_) | LTerm::Float(_)) | None => facts.candidates_for(sig, None),
+            }
+        }
+        _ => facts.candidates(&materialize(pattern, frame)),
+    }
+}
+
+/// Whether any background fact matches `pattern` under `frame`; the
+/// frame is left as it was.
+fn any_fact_matches(facts: &FactStore, pattern: &LTerm, frame: &mut Frame<'_>) -> bool {
+    let mark = frame.mark();
+    fact_candidates(facts, pattern, frame).iter().any(|fact| {
+        let hit = match_lterm(pattern, fact, frame);
+        frame.undo(mark);
+        hit
+    })
+}
+
 /// Evaluates all lowered `holdsFor` rules of one static fluent — the
 /// plan mirror of [`rtec::eval::statics::evaluate_static_fluent`].
 pub(crate) fn eval_static_stratum(
@@ -288,27 +313,32 @@ pub(crate) fn eval_static_stratum(
     warnings: &mut WarningSink,
 ) {
     for rule in rules {
-        let candidates = seed_candidates(ctx, &rule.rule, cache, warnings);
-        let mut results: Vec<(GroundFvp, IntervalList)> = Vec::new();
-        let mut frame = Frame::new(&rule.vars);
-        // Interval register file, reused across candidates: every literal
-        // restores its output register to `None` after backtracking, so
-        // the file is all-`None` between candidates.
-        let mut env: Vec<Option<IntervalList>> = vec![None; rule.n_regs];
-        for cand in &candidates {
-            frame.clear();
-            frame.load(cand);
-            exec_static(
-                ctx,
-                rule,
-                0,
-                &mut frame,
-                &mut env,
-                cache,
-                warnings,
-                &mut results,
-            );
-        }
+        let results = {
+            let cache: &FluentCache<'_> = cache;
+            let candidates = seed_candidates(ctx, &rule.rule, cache, warnings);
+            let mut results: Vec<(GroundFvp, IntervalList)> = Vec::new();
+            let mut frame = Frame::new(&rule.vars);
+            // Interval register file, reused across candidates: every
+            // literal restores its output register to `None` after
+            // backtracking, so the file is all-`None` between candidates.
+            // `holdsFor` registers borrow the cache's lists.
+            let mut env: Vec<Option<Cow<'_, IntervalList>>> = vec![None; rule.n_regs];
+            for cand in &candidates {
+                frame.clear();
+                frame.load(cand);
+                exec_static(
+                    ctx,
+                    rule,
+                    0,
+                    &mut frame,
+                    &mut env,
+                    cache,
+                    warnings,
+                    &mut results,
+                );
+            }
+            results
+        };
         for (g, list) in results {
             cache.insert(g, list);
         }
@@ -326,7 +356,6 @@ fn seed_candidates(
     cache: &FluentCache<'_>,
     warnings: &mut WarningSink,
 ) -> Vec<Bindings> {
-    let eq = ctx.eq;
     let mut out: Vec<Bindings> = Vec::new();
     let mut seen: HashSet<Vec<(Symbol, Term)>> = HashSet::new();
     let push = |b: Bindings, seen: &mut HashSet<Vec<(Symbol, Term)>>, out: &mut Vec<Bindings>| {
@@ -354,11 +383,11 @@ fn seed_candidates(
             push(Bindings::new(), &mut seen, &mut out);
             continue;
         }
-        let pattern = Term::Compound(eq, vec![fvp.fluent.clone(), fvp.value.clone()]);
-        for inst in cache.instances(k) {
-            let inst_term = Term::Compound(eq, vec![inst.fluent.clone(), inst.value.clone()]);
+        for inst in cache.candidates(k, fvp.fluent.args().first()) {
             let mut b = Bindings::new();
-            if match_term(&pattern, &inst_term, &mut b) {
+            if match_term(&fvp.fluent, &inst.fluent, &mut b)
+                && match_term(&fvp.value, &inst.value, &mut b)
+            {
                 push(b, &mut seen, &mut out);
             }
         }
@@ -366,17 +395,23 @@ fn seed_candidates(
     out
 }
 
+/// A `holdsFor` register: the cache's list, borrowed, or an empty one
+/// for an FVP the cache does not know.
+fn registered(list: Option<&IntervalList>) -> Cow<'_, IntervalList> {
+    list.map_or_else(|| Cow::Owned(IntervalList::new()), Cow::Borrowed)
+}
+
 /// Phase 2: left-to-right evaluation with backtracking — the plan mirror
 /// of the interpreter's `eval_literals`, with the name-keyed interval
 /// environment replaced by the register file.
 #[allow(clippy::too_many_arguments)]
-fn exec_static(
+fn exec_static<'c>(
     ctx: &ExecCtx<'_>,
     rule: &LoweredStatic,
     idx: usize,
     frame: &mut Frame<'_>,
-    env: &mut Vec<Option<IntervalList>>,
-    cache: &FluentCache<'_>,
+    env: &mut Vec<Option<Cow<'c, IntervalList>>>,
+    cache: &'c FluentCache<'_>,
     warnings: &mut WarningSink,
     results: &mut Vec<(GroundFvp, IntervalList)>,
 ) {
@@ -395,7 +430,7 @@ fn exec_static(
             return; // validation guarantees presence; defensive
         };
         if !list.is_empty() {
-            results.push((GroundFvp { fluent, value }, list.clone()));
+            results.push((GroundFvp { fluent, value }, IntervalList::clone(list)));
         }
         return;
     };
@@ -406,20 +441,15 @@ fn exec_static(
             let value = materialize(value, frame);
             if fluent.is_ground() && value.is_ground() {
                 let g = GroundFvp { fluent, value };
-                let list = cache.get(&g).cloned().unwrap_or_default();
-                env[*out as usize] = Some(list);
+                env[*out as usize] = Some(registered(cache.get(&g)));
                 exec_static(ctx, rule, idx + 1, frame, env, cache, warnings, results);
                 env[*out as usize] = None;
             } else {
                 let Some(k) = fluent.signature() else { return };
-                let pattern = Term::Compound(ctx.eq, vec![fluent, value]);
                 let mark = frame.mark();
-                for inst in cache.instances(k) {
-                    let inst_term =
-                        Term::Compound(ctx.eq, vec![inst.fluent.clone(), inst.value.clone()]);
-                    if match_resolved(&pattern, &inst_term, frame) {
-                        let list = cache.get(inst).cloned().unwrap_or_default();
-                        env[*out as usize] = Some(list);
+                for inst in cache.candidates(k, fluent.args().first()) {
+                    if match_fvp(&fluent, &value, inst, frame) {
+                        env[*out as usize] = Some(registered(cache.get(inst)));
                         exec_static(ctx, rule, idx + 1, frame, env, cache, warnings, results);
                         env[*out as usize] = None;
                         frame.undo(mark);
@@ -438,7 +468,7 @@ fn exec_static(
                 }
                 IntervalList::union_all(&lists)
             };
-            env[*out as usize] = Some(u);
+            env[*out as usize] = Some(Cow::Owned(u));
             exec_static(ctx, rule, idx + 1, frame, env, cache, warnings, results);
             env[*out as usize] = None;
         }
@@ -453,7 +483,7 @@ fn exec_static(
                 }
                 IntervalList::intersect_all(&lists)
             };
-            env[*out as usize] = Some(i);
+            env[*out as usize] = Some(Cow::Owned(i));
             exec_static(ctx, rule, idx + 1, frame, env, cache, warnings, results);
             env[*out as usize] = None;
         }
@@ -475,7 +505,7 @@ fn exec_static(
                 }
                 base_list.relative_complement_all(&lists)
             };
-            env[*out as usize] = Some(rc);
+            env[*out as usize] = Some(Cow::Owned(rc));
             exec_static(ctx, rule, idx + 1, frame, env, cache, warnings, results);
             env[*out as usize] = None;
         }
@@ -484,13 +514,12 @@ fn exec_static(
             pattern,
             sig_warn,
         } => {
-            let applied = materialize(pattern, frame);
             if let Some(w) = sig_warn {
                 warnings.push(w.clone());
             }
             let mark = frame.mark();
-            for fact in ctx.facts.candidates(&applied) {
-                if match_resolved(&applied, fact, frame) {
+            for fact in fact_candidates(ctx.facts, pattern, frame) {
+                if match_lterm(pattern, fact, frame) {
                     exec_static(ctx, rule, idx + 1, frame, env, cache, warnings, results);
                     frame.undo(mark);
                 }
@@ -501,13 +530,7 @@ fn exec_static(
             pattern,
             ..
         } => {
-            let applied = materialize(pattern, frame);
-            let exists = ctx
-                .facts
-                .candidates(&applied)
-                .iter()
-                .any(|fact| match_term(&applied, fact, &mut Bindings::new()));
-            if !exists {
+            if !any_fact_matches(ctx.facts, pattern, frame) {
                 exec_static(ctx, rule, idx + 1, frame, env, cache, warnings, results);
             }
         }

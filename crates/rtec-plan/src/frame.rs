@@ -9,7 +9,7 @@
 
 use crate::ir::{LTerm, VarTable};
 use rtec::symbol::Symbol;
-use rtec::term::{Bindings, Term};
+use rtec::term::{match_term, Bindings, GroundFvp, Term};
 
 /// Undo point of a [`Frame`]; see [`Frame::mark`].
 #[derive(Clone, Copy, Debug)]
@@ -125,14 +125,18 @@ pub fn match_lterm(pattern: &LTerm, fact: &Term, frame: &mut Frame<'_>) -> bool 
 
 fn match_lterm_inner(pattern: &LTerm, fact: &Term, frame: &mut Frame<'_>) -> bool {
     match pattern {
-        LTerm::Slot(i) => {
-            if let Some(bound) = frame.get_slot(*i).cloned() {
+        LTerm::Slot(i) => match frame.get_slot(*i) {
+            // A ground binding binds nothing more: match it in place.
+            Some(bound) if bound.is_ground() => match_term(bound, fact, &mut Bindings::new()),
+            Some(bound) => {
+                let bound = bound.clone();
                 match_resolved_inner(&bound, fact, frame)
-            } else {
+            }
+            None => {
                 frame.bind_slot(*i, fact.clone());
                 true
             }
-        }
+        },
         LTerm::Atom(a) => matches!(fact, Term::Atom(b) if a == b),
         LTerm::Int(i) => match fact {
             Term::Int(j) => i == j,
@@ -161,13 +165,16 @@ fn match_lterm_inner(pattern: &LTerm, fact: &Term, frame: &mut Frame<'_>) -> boo
     }
 }
 
-/// Matches a plain [`Term`] pattern against a fact, resolving variables
-/// through the frame — the frame-backed mirror of the interpreter's
-/// `match_term`, used for materialized patterns (atemporal lookups,
-/// fluent-instance enumeration) and for terms a slot was bound to.
-pub fn match_resolved(pattern: &Term, fact: &Term, frame: &mut Frame<'_>) -> bool {
+/// Matches a materialized fluent and value against a ground instance,
+/// resolving variables through the frame and extending it — the
+/// frame-backed mirror of the interpreter's `match_term` of
+/// `=(fluent, value)` against `=(inst.fluent, inst.value)`, without
+/// building either pair. On failure the frame is restored.
+pub fn match_fvp(fluent: &Term, value: &Term, inst: &GroundFvp, frame: &mut Frame<'_>) -> bool {
     let mark = frame.mark();
-    if match_resolved_inner(pattern, fact, frame) {
+    if match_resolved_inner(fluent, &inst.fluent, frame)
+        && match_resolved_inner(value, &inst.value, frame)
+    {
         true
     } else {
         frame.undo(mark);
@@ -177,14 +184,17 @@ pub fn match_resolved(pattern: &Term, fact: &Term, frame: &mut Frame<'_>) -> boo
 
 fn match_resolved_inner(pattern: &Term, fact: &Term, frame: &mut Frame<'_>) -> bool {
     match pattern {
-        Term::Var(v) => {
-            if let Some(bound) = frame.lookup_sym(*v).cloned() {
+        Term::Var(v) => match frame.lookup_sym(*v) {
+            Some(bound) if bound.is_ground() => match_term(bound, fact, &mut Bindings::new()),
+            Some(bound) => {
+                let bound = bound.clone();
                 match_resolved_inner(&bound, fact, frame)
-            } else {
+            }
+            None => {
                 frame.bind_sym(*v, fact.clone());
                 true
             }
-        }
+        },
         Term::Atom(a) => matches!(fact, Term::Atom(b) if a == b),
         Term::Int(i) => match fact {
             Term::Int(j) => i == j,

@@ -44,28 +44,68 @@ fn assert_identical(interp: &Engine<'_>, plan: &Engine<'_>, what: &str) {
 // ---------------------------------------------------------------------
 
 /// A randomly generated recognition scenario: an event-description
-/// source, a raw event feed, a window configuration, and the `run_to`
-/// milestones.
+/// source, a raw event feed, input-fluent intervals, a window
+/// configuration, and the `run_to` milestones.
 #[derive(Debug, Clone)]
 struct Scenario {
     desc_src: String,
-    /// `(event index 0..4, entity index 0..3, time)` triples, unsorted.
+    /// `(event index 0..5, entity index 0..3, time)` triples, unsorted.
     events: Vec<(usize, usize, Timepoint)>,
+    /// `lk(A, B)=true` intervals: `(first 0..5, second 0..3, start,
+    /// length, milestone before which it is added)`. First arguments 3
+    /// and 4 are the floats `1.0` and `2.0`.
+    inputs: Vec<(usize, usize, Timepoint, Timepoint, usize)>,
     window: Option<Timepoint>,
     milestones: Vec<Timepoint>,
 }
 
 /// Optional body literals appended to simple-fluent rules. Index 5
 /// (`r(V)`, a predicate with no background facts) exists to exercise the
-/// precomputed "no background facts" warning.
-const EXTRAS: [&str; 6] = [
+/// precomputed "no background facts" warning; indexes 6 and 7 look up
+/// background facts by a numeric constant first argument.
+const EXTRAS: [&str; 8] = [
     ",\n    not happensAt(e3(V), T)",
     ",\n    q(V)",
     ",\n    not q(V)",
     ",\n    p(V, c0)",
     ",\n    T >= 5",
     ",\n    r(V)",
+    ",\n    lim(1, c0)",
+    ",\n    not lim(2.0, c1)",
 ];
+
+/// Rules over the numeric event `e4(V, N)`, the 2-ary input fluent
+/// `lk/2` and numeric background facts `lim/2`. Between them they reach
+/// every way the plan looks up an instance or a fact: by a bound atom,
+/// by a bound number, and with the first argument unbound.
+const INDEXED_RULES: &str = "
+initiatedAt(s3(V)=C, T) :-
+    happensAt(e4(V, N), T),
+    lim(N, C).
+terminatedAt(s3(V)=c0, T) :-
+    happensAt(e4(V, N), T),
+    not lim(N, c0).
+initiatedAt(s4(V)=true, T) :-
+    happensAt(e4(V, N), T),
+    holdsAt(lk(N, _W)=true, T).
+terminatedAt(s4(V)=true, T) :-
+    happensAt(e2(V), T),
+    not holdsAt(lk(V, _B)=true, T).
+initiatedAt(s5(V)=true, T) :-
+    happensAt(e2(V), T),
+    holdsAt(lk(_A, V)=true, T).
+terminatedAt(s5(V)=true, T) :-
+    happensAt(e3(V), T),
+    holdsAt(s0(V)=_X, T).
+holdsFor(st1(A, V)=true, I) :-
+    holdsFor(s1(V)=true, I1),
+    holdsFor(lk(A, V)=true, I2),
+    intersect_all([I1, I2], I).
+holdsFor(st2(V, B)=true, I) :-
+    holdsFor(s0(V)=lo, I1),
+    holdsFor(lk(V, B)=true, I2),
+    union_all([I1, I2], I).
+";
 
 /// Interval-algebra tails for the `st0` static fluent, over `I1`
 /// (`s0=lo`) and `I2` (`s1=true`). Shapes 1, 2 and 4 contain chains the
@@ -88,6 +128,9 @@ fn render_description(
     static_shape: usize,
     facts_p: &[(usize, usize)],
     facts_q: &[usize],
+    // `(n, as a float, c)`: the fact `lim(n, cC)`, `n` written `n.0`
+    // when the flag is set.
+    facts_lim: &[(usize, bool, usize)],
 ) -> String {
     let (term_lo, pattern_term, s1_neg) = (flips & 1 != 0, flips & 2 != 0, flips & 4 != 0);
     let mut src = String::new();
@@ -96,6 +139,14 @@ fn render_description(
     }
     for &v in facts_q {
         src.push_str(&format!("q(v{v}).\n"));
+    }
+    for &(n, float, c) in facts_lim {
+        let n = if float {
+            format!("{n}.0")
+        } else {
+            n.to_string()
+        };
+        src.push_str(&format!("lim({n}, c{c}).\n"));
     }
     let extra = |ix: &[usize]| -> String { ix.iter().map(|&i| EXTRAS[i]).collect() };
     src.push_str(&format!(
@@ -126,6 +177,7 @@ fn render_description(
          holdsFor(s1(V)=true, I2),\n    {}.\n",
         STATIC_SHAPES[static_shape]
     ));
+    src.push_str(INDEXED_RULES);
     src
 }
 
@@ -141,9 +193,11 @@ fn scenario() -> impl Strategy<Value = Scenario> {
     let facts = (
         prop::collection::vec((0usize..3, 0usize..2), 0..4),
         prop::collection::vec(0usize..3, 0..3),
+        prop::collection::vec((1usize..3, 0u8..2, 0usize..2), 0..4),
     );
     let feed = (
-        prop::collection::vec((0usize..4, 0usize..3, 0i64..60), 0..40),
+        prop::collection::vec((0usize..5, 0usize..3, 0i64..60), 0..40),
+        prop::collection::vec((0usize..5, 0usize..3, 0i64..60, 1i64..20, 0usize..3), 0..6),
         // Below 6 means "unwindowed".
         0i64..25,
         prop::collection::vec(1i64..70, 1..4),
@@ -151,8 +205,8 @@ fn scenario() -> impl Strategy<Value = Scenario> {
     (structure, facts, feed).prop_map(
         |(
             (extras_lo, extras_hi, flips, static_shape),
-            (facts_p, facts_q),
-            (events, window, mut milestones),
+            (facts_p, facts_q, facts_lim),
+            (events, inputs, window, mut milestones),
         )| {
             milestones.sort_unstable();
             milestones.dedup();
@@ -164,8 +218,13 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                     static_shape,
                     &facts_p,
                     &facts_q,
+                    &facts_lim
+                        .iter()
+                        .map(|&(n, float, c)| (n, float == 1, c))
+                        .collect::<Vec<_>>(),
                 ),
                 events,
+                inputs,
                 window: (window >= 6).then_some(window),
                 milestones,
             }
@@ -174,15 +233,16 @@ fn scenario() -> impl Strategy<Value = Scenario> {
 }
 
 /// Builds the engine pair and replays the scenario feed into both,
-/// checking observational equality at every milestone.
-fn run_differential(sc: &Scenario) {
+/// checking observational equality at every milestone. Returns the
+/// final output rows (none for a description that does not compile).
+fn run_differential(sc: &Scenario) -> Vec<String> {
     let desc = EventDescription::parse(&sc.desc_src)
         .unwrap_or_else(|e| panic!("parse: {e}\n{}", sc.desc_src));
     let compiled = match desc.compile() {
         Ok(c) => c,
         // Rejected descriptions (e.g. a generated cycle) are out of
         // scope: both evaluators only ever see compiled descriptions.
-        Err(_) => return,
+        Err(_) => return Vec::new(),
     };
     let config = match sc.window {
         Some(w) => EngineConfig::windowed(w),
@@ -194,12 +254,31 @@ fn run_differential(sc: &Scenario) {
     // Events are fed unsorted and may be stale relative to the
     // processed frontier; both engines must reject identically.
     for &(ev, v, t) in &sc.events {
-        let term =
-            rtec::parser::parse_term(&format!("e{ev}(v{v})"), &mut syms).expect("event parses");
+        // `e4` carries an integer, which matches the float `lim` facts
+        // and `lk` first arguments only by value.
+        let src = match ev {
+            4 => format!("e4(v{v}, {})", 1 + t % 2),
+            _ => format!("e{ev}(v{v})"),
+        };
+        let term = rtec::parser::parse_term(&src, &mut syms).expect("event parses");
         interp.add_event_from(&term, &syms, t);
         plan.add_event_from(&term, &syms, t);
     }
     for (i, &milestone) in sc.milestones.iter().enumerate() {
+        for &(a, b, start, len, _) in sc.inputs.iter().filter(|input| input.4 == i) {
+            let first = match a {
+                3 => "1.0".to_string(),
+                4 => "2.0".to_string(),
+                _ => format!("v{a}"),
+            };
+            let fluent = rtec::parser::parse_term(&format!("lk({first}, v{b})"), &mut syms)
+                .expect("fluent parses");
+            let value = rtec::parser::parse_term("true", &mut syms).expect("value parses");
+            let fvp = rtec::term::GroundFvp::new(fluent, value).expect("ground");
+            let list = rtec::IntervalList::from_pairs(&[(start, start + len)]);
+            interp.add_input_intervals_from(&fvp, &syms, list.clone());
+            plan.add_input_intervals_from(&fvp, &syms, list);
+        }
         interp.run_to(milestone);
         plan.run_to(milestone);
         assert_identical(
@@ -208,19 +287,60 @@ fn run_differential(sc: &Scenario) {
             &format!("milestone {i} (run_to {milestone})"),
         );
     }
+    observe(&interp).0
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Over randomized descriptions (cross-value terminations, pattern
-    /// terminations, negation, comparisons, background facts, fusable
-    /// interval chains) and randomized unsorted event feeds, the plan
-    /// evaluator is observationally identical to the interpreter at
-    /// every window boundary.
+    /// terminations, negation, comparisons, background facts with atom
+    /// and numeric first arguments, a 2-ary input fluent looked up with
+    /// its first argument bound and unbound, fusable interval chains)
+    /// and randomized unsorted event feeds, the plan evaluator is
+    /// observationally identical to the interpreter at every window
+    /// boundary.
     #[test]
     fn plan_matches_interpreter_on_random_descriptions(sc in scenario()) {
         run_differential(&sc);
+    }
+}
+
+/// A fixed scenario in which every rule of [`INDEXED_RULES`] fires, so
+/// each lookup shape of the randomized test is known to be exercised:
+/// an integer event argument against float facts and instances, a
+/// float first argument bound by seeding, atom probes of input and
+/// computed fluents, and unbound first arguments.
+#[test]
+fn indexed_lookups_fire_and_agree() {
+    let sc = Scenario {
+        desc_src: render_description(&[], &[], 0, 0, &[], &[], &[(1, true, 0), (2, false, 1)]),
+        events: vec![
+            (0, 0, 2),
+            (1, 0, 7),
+            (4, 0, 10),
+            (4, 0, 11),
+            (2, 0, 12),
+            (3, 0, 40),
+        ],
+        inputs: vec![(3, 0, 5, 25, 0), (1, 0, 0, 50, 0), (0, 2, 20, 20, 0)],
+        window: None,
+        milestones: vec![60],
+    };
+    let rows = run_differential(&sc);
+    for expected in [
+        "s3(v0)=c0 = ",
+        "s3(v0)=c1 = ",
+        "s4(v0)=true = ",
+        "s5(v0)=true = ",
+        "st1(1.0, v0)=true = ",
+        "st1(v1, v0)=true = ",
+        "st2(v0, v2)=true = ",
+    ] {
+        assert!(
+            rows.iter().any(|r| r.starts_with(expected)),
+            "no `{expected}` row in {rows:#?}"
+        );
     }
 }
 

@@ -16,7 +16,10 @@ use std::collections::HashMap;
 /// argument already bound (e.g. `vesselType(v17, Type)` after the
 /// vessel was bound by an event), so the first-argument index turns the
 /// dominant lookups into O(1) bucket probes instead of scans over every
-/// fact of the predicate.
+/// fact of the predicate. Only first arguments that pass
+/// [`Term::is_probe_key`] are indexed and probed; a numeric one matches
+/// facts that are not bit-identical (`1` matches `1.0`), so it is looked
+/// up in the signature bucket.
 #[derive(Clone, Debug, Default)]
 pub struct FactStore {
     by_signature: HashMap<(Symbol, usize), Vec<Term>>,
@@ -45,7 +48,7 @@ impl FactStore {
         let Some(sig) = fact.signature() else { return };
         let bucket = self.by_signature.entry(sig).or_default();
         if !bucket.contains(&fact) {
-            if let Some(first) = fact.args().first() {
+            if let Some(first) = fact.args().first().filter(|f| f.is_probe_key()) {
                 self.by_first_arg
                     .entry((sig.0, sig.1, first.clone()))
                     .or_default()
@@ -78,26 +81,26 @@ impl FactStore {
             .is_some_and(|sig| self.has_signature(sig))
     }
 
-    /// The facts that can possibly match `pattern`: the first-argument
-    /// bucket when the pattern's first argument is ground, else the full
-    /// signature bucket.
+    /// The facts that can possibly match `pattern`, in insertion order:
+    /// the first-argument bucket when the pattern's first argument is a
+    /// probe key, else the full signature bucket.
     pub fn candidates(&self, pattern: &Term) -> &[Term] {
-        let Some(sig) = pattern.signature() else {
-            return &[];
-        };
-        if let Some(first) = pattern.args().first() {
-            if first.is_ground() {
-                return self
-                    .by_first_arg
-                    .get(&(sig.0, sig.1, first.clone()))
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]);
-            }
+        match pattern.signature() {
+            Some(sig) => self.candidates_for(sig, pattern.args().first()),
+            None => &[],
         }
-        self.by_signature
-            .get(&sig)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    }
+
+    /// The facts of signature `sig` that can possibly match a pattern
+    /// whose first argument is `first` (`None` for an atom pattern), in
+    /// insertion order. Matching the result in order finds the same
+    /// solutions in the same order as matching the whole signature.
+    pub fn candidates_for(&self, sig: (Symbol, usize), first: Option<&Term>) -> &[Term] {
+        let bucket = match first.filter(|f| f.is_probe_key()) {
+            Some(first) => self.by_first_arg.get(&(sig.0, sig.1, first.clone())),
+            None => self.by_signature.get(&sig),
+        };
+        bucket.map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Calls `on_solution` once per fact matching `pattern` under
@@ -190,6 +193,28 @@ mod tests {
         assert!(b.is_empty());
         let miss = parse_term("thresholds(min, V)", &mut sym).unwrap();
         assert!(!s.any_match(&miss, &mut b));
+    }
+
+    #[test]
+    fn numeric_first_argument_matches_across_int_and_float() {
+        let mut sym = SymbolTable::new();
+        let s = store(
+            &["limit(1.0, high)", "limit(2, low)", "limit(a, mid)"],
+            &mut sym,
+        );
+        let mut b = Bindings::new();
+        // `1` unifies with `1.0` and `2.0` with `2`, although neither
+        // pair is bit-identical.
+        for pattern in ["limit(1, high)", "limit(2.0, Level)"] {
+            let pat = parse_term(pattern, &mut sym).unwrap();
+            assert_eq!(s.candidates(&pat).len(), 3, "{pattern}");
+            assert!(s.any_match(&pat, &mut b), "{pattern}");
+        }
+        let miss = parse_term("limit(1, low)", &mut sym).unwrap();
+        assert!(!s.any_match(&miss, &mut b));
+        // An atom first argument still probes its own bucket.
+        let atom = parse_term("limit(a, Level)", &mut sym).unwrap();
+        assert_eq!(s.candidates(&atom).len(), 1);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use crate::ast::FluentKey;
 use crate::checkpoint::{EngineCheckpoint, SlidingSection};
 use crate::description::CompiledDescription;
-use crate::eval::cache::FluentCache;
+use crate::eval::cache::{FluentCache, InstanceIndex};
 use crate::eval::delta::WindowDelta;
 use crate::eval::events::EventIndex;
 use crate::eval::simple::{evaluate_simple_fluent, InertiaState};
@@ -416,7 +416,8 @@ pub struct Engine<'a> {
     symbols: SymbolTable,
     pending: Vec<(Term, Timepoint)>,
     inputs: HashMap<GroundFvp, IntervalList>,
-    inputs_by_key: HashMap<FluentKey, Vec<GroundFvp>>,
+    /// The keys of `inputs`, grouped by fluent key and first argument.
+    inputs_by_key: InstanceIndex,
     inertia: InertiaState,
     processed_to: Timepoint,
     output: RecognitionOutput,
@@ -456,7 +457,7 @@ impl<'a> Engine<'a> {
             symbols: desc.symbols.clone(),
             pending: Vec::new(),
             inputs: HashMap::new(),
-            inputs_by_key: HashMap::new(),
+            inputs_by_key: InstanceIndex::default(),
             inertia,
             processed_to: -1,
             output: RecognitionOutput::default(),
@@ -621,9 +622,7 @@ impl<'a> Engine<'a> {
         match self.inputs.get_mut(&fvp) {
             Some(existing) => existing.merge(&list),
             None => {
-                if let Some(key) = fvp.fluent.signature() {
-                    self.inputs_by_key.entry(key).or_default().push(fvp.clone());
-                }
+                self.inputs_by_key.push(fvp.clone());
                 self.inputs.insert(fvp, list);
             }
         }
@@ -851,7 +850,7 @@ impl<'a> Engine<'a> {
             symbols,
             pending: checkpoint.pending.clone(),
             inputs: HashMap::new(),
-            inputs_by_key: HashMap::new(),
+            inputs_by_key: InstanceIndex::default(),
             inertia,
             processed_to: checkpoint.processed_to,
             output: RecognitionOutput::default(),

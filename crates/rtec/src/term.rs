@@ -80,6 +80,19 @@ impl Term {
         }
     }
 
+    /// Whether the term can key a first-argument index: ground and free
+    /// of numbers at every depth. Matching unifies `1` with `1.0`, which
+    /// bit-exact hashing does not, so a term holding a number has to be
+    /// looked up by scanning the whole signature instead.
+    pub fn is_probe_key(&self) -> bool {
+        match self {
+            Term::Var(_) | Term::Int(_) | Term::Float(_) => false,
+            Term::Atom(_) => true,
+            Term::Compound(_, args) => args.iter().all(Term::is_probe_key),
+            Term::List(items) => items.iter().all(Term::is_probe_key),
+        }
+    }
+
     /// Whether the term is a number (integer or float).
     pub fn is_number(&self) -> bool {
         matches!(self, Term::Int(_) | Term::Float(_))
@@ -492,6 +505,19 @@ mod tests {
         assert!(a.is_ground());
         assert!(!c.is_ground());
         assert!(Term::Compound(t.intern("g"), vec![a]).is_ground());
+    }
+
+    #[test]
+    fn probe_keys_are_ground_and_number_free() {
+        let mut t = table();
+        let a = Term::Atom(t.intern("a"));
+        let g = t.intern("g");
+        assert!(a.is_probe_key());
+        assert!(Term::Compound(g, vec![a.clone()]).is_probe_key());
+        assert!(!Term::Int(1).is_probe_key());
+        assert!(!Term::Float(1.0).is_probe_key());
+        assert!(!Term::Compound(g, vec![a, Term::Int(1)]).is_probe_key());
+        assert!(!Term::Var(t.intern("X")).is_probe_key());
     }
 
     #[test]
