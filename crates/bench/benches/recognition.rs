@@ -5,7 +5,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use maritime::{BrestScenario, Dataset};
 use rtec::description::CompiledDescription;
 use rtec::{Engine, EngineConfig, Timepoint};
-use rtec_plan::WithPlan;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -19,36 +18,15 @@ fn bench_recognition(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(dataset.stream.len() as u64));
 
-    // The AST interpreter (the reference semantics) and the compiled
-    // plan every session runs. Both must recognise the same rows.
-    let evaluators = [
-        ("gold_batch", Engine::new as fn(_, _) -> _),
-        ("gold_batch_plan", Engine::with_plan),
-    ];
-    let rows = evaluators.map(|(_, new)| {
-        let mut engine: Engine<'_> = new(&compiled, EngineConfig::default());
-        dataset.stream.load_into(&mut engine);
-        engine.run_to(horizon);
-        let symbols = engine.symbols().clone();
-        let out = engine.into_output();
-        let mut rows: Vec<_> = out
-            .iter()
-            .map(|(fvp, list)| (fvp.display(&symbols), list.to_string()))
-            .collect();
-        rows.sort();
-        rows
+    // Named for the plan, which every engine runs; ROADMAP and CHANGES
+    // cite the cell by this name.
+    group.bench_function("gold_batch_plan", |b| {
+        b.iter(|| {
+            let mut engine = loaded(&compiled, &dataset);
+            engine.run_to(horizon);
+            black_box(engine.into_output().len())
+        })
     });
-    assert_eq!(rows[0], rows[1], "plan and interpreter disagree");
-    for (name, new) in evaluators {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut engine = new(&compiled, EngineConfig::default());
-                dataset.stream.load_into(&mut engine);
-                engine.run_to(horizon);
-                black_box(engine.into_output().len())
-            })
-        });
-    }
 
     for window in [900i64, 3600, 21_600] {
         group.bench_with_input(
@@ -72,13 +50,9 @@ fn bench_recognition(c: &mut Criterion) {
     group.finish();
 }
 
-/// Loads `dataset` into a fresh engine built by `new`.
-fn loaded<'d>(
-    new: fn(&'d CompiledDescription, EngineConfig) -> Engine<'d>,
-    compiled: &'d CompiledDescription,
-    dataset: &Dataset,
-) -> Engine<'d> {
-    let mut engine = new(compiled, EngineConfig::default());
+/// Loads `dataset` into a fresh windowless engine.
+fn loaded<'d>(compiled: &'d CompiledDescription, dataset: &Dataset) -> Engine<'d> {
+    let mut engine = Engine::new(compiled, EngineConfig::default());
     dataset.stream.load_into(&mut engine);
     engine
 }
@@ -109,23 +83,6 @@ fn bench_grid_plan(c: &mut Criterion) {
             engine.run_to(to);
         }
     };
-    let rows = |engine: &Engine<'_>| {
-        let mut rows: Vec<String> = engine
-            .output()
-            .iter()
-            .map(|(fvp, list)| format!("{} = {list}", fvp.display(engine.symbols())))
-            .collect();
-        rows.sort();
-        rows
-    };
-    for desc in &compiled {
-        let mut interp = loaded(Engine::new, desc, &dataset);
-        let mut plan = loaded(Engine::with_plan, desc, &dataset);
-        run(&mut interp);
-        run(&mut plan);
-        assert_eq!(rows(&interp), rows(&plan), "plan and interpreter disagree");
-    }
-
     let mut group = c.benchmark_group("recognition");
     group.sample_size(10);
     group.bench_function("grid_plan", |b| {
@@ -133,7 +90,7 @@ fn bench_grid_plan(c: &mut Criterion) {
             let mut spent = Duration::ZERO;
             for _ in 0..iters {
                 for desc in &compiled {
-                    let mut engine = loaded(Engine::with_plan, desc, &dataset);
+                    let mut engine = loaded(desc, &dataset);
                     let started = Instant::now();
                     run(&mut engine);
                     spent += started.elapsed();

@@ -1,6 +1,6 @@
 //! # rtec-analysis — abstract interpretation over RTEC evaluation plans
 //!
-//! A whole-program static analysis over the `rtec-plan` lowered IR. For
+//! A whole-program static analysis over the lowered IR of [`rtec::plan`]. For
 //! every rule and every defined fluent it computes:
 //!
 //! * **value-domain facts** — per-variable constant / finite-set /
@@ -32,7 +32,6 @@
 //!
 //! ```
 //! use rtec::description::EventDescription;
-//! use rtec_plan::Plan;
 //!
 //! let desc = EventDescription::parse(
 //!     "initiatedAt(hot(V)=true, T) :- happensAt(reading(V, C), T), C > 10, C < 5.
@@ -42,7 +41,7 @@
 //! .unwrap()
 //! .compile()
 //! .unwrap();
-//! let analysis = rtec_analysis::analyze(&desc, &Plan::compile(&desc));
+//! let analysis = rtec_analysis::analyze(&desc);
 //! // The first rule's comparisons are contradictory.
 //! assert!(analysis.rules[0].empty.is_some());
 //! assert!(analysis.rules[1].empty.is_none());
@@ -60,8 +59,8 @@ mod interp;
 use domain::Dom;
 use rtec::ast::{FluentKey, SimpleKind};
 use rtec::description::CompiledDescription;
+use rtec::plan::Plan;
 use rtec::term::Term;
-use rtec_plan::Plan;
 use std::collections::{BTreeSet, HashMap};
 
 /// Why a rule body can never be satisfied.
@@ -415,7 +414,7 @@ fn run(desc: &CompiledDescription, plan: &Plan, closed: bool, undeclared_never_h
         never_holds: BTreeSet::new(),
     };
 
-    let render_slots = |vars: &rtec_plan::ir::VarTable, doms: &[Dom]| -> Vec<(String, String)> {
+    let render_slots = |vars: &rtec::plan::ir::VarTable, doms: &[Dom]| -> Vec<(String, String)> {
         vars.syms
             .iter()
             .zip(doms.iter())
@@ -542,9 +541,10 @@ fn run(desc: &CompiledDescription, plan: &Plan, closed: bool, undeclared_never_h
     out
 }
 
-/// Analyzes `plan`, lowered from `desc`, under both semantics (see the
-/// crate docs).
-pub fn analyze(desc: &CompiledDescription, plan: &Plan) -> Analysis {
+/// Analyzes the plan of `desc` under both semantics (see the crate
+/// docs).
+pub fn analyze(desc: &CompiledDescription) -> Analysis {
+    let plan = desc.plan();
     let closed = declarations(desc).is_some();
     let lint = run(desc, plan, closed, true);
     // Under a closed schema the two sets of assumptions coincide; with
@@ -589,11 +589,6 @@ mod tests {
             .expect("parses")
             .compile()
             .expect("compiles")
-    }
-
-    /// Analyzes `desc` over a plan lowered from it.
-    fn analyze(desc: &CompiledDescription) -> Analysis {
-        super::analyze(desc, &Plan::compile(desc))
     }
 
     fn rule_for(a: &Analysis, clause: usize) -> &RuleFacts {

@@ -338,7 +338,7 @@ pub fn lint(front: &FrontEnd) -> AnalysisReport {
         .compiled
         .as_ref()
         .ok()
-        .map(|c| rtec_analysis::analyze(&c.desc, &c.plan));
+        .map(|c| rtec_analysis::analyze(c));
     let flow_never_holds = flow.as_ref().map(|a| flow::never_holding(a, &model));
     checks::undefined_references(&model, &mut diagnostics);
     checks::arity_consistency(&model, &mut diagnostics);

@@ -3,26 +3,16 @@
 //!
 //! A description opened by the service is linted, compiled and run.
 //! [`FrontEnd`] holds what those consumers share: the parse (with its
-//! syntax errors, when lenient), the one per-clause validation, the one
-//! [`CompiledDescription`] and the one [`Plan`] lowered from it.
+//! syntax errors, when lenient), the one per-clause validation and the
+//! one [`CompiledDescription`], which owns the plan lowered from it.
 //! `rtec-lint` builds its report from the parse and the validated
-//! rules, `rtec-analysis` reads the compiled description and the plan,
+//! rules, `rtec-analysis` reads the compiled description and its plan,
 //! and a service session runs that same plan.
 
-use crate::Plan;
 use rtec::description::{CompiledDescription, EventDescription};
 use rtec::error::{RtecError, RtecResult};
 use rtec::validate::{validate, SysSymbols, ValidatedRules};
 use std::sync::Arc;
-
-/// A compiled description and the plan lowered from it.
-#[derive(Clone)]
-pub struct Compiled {
-    /// The compiled description.
-    pub desc: Arc<CompiledDescription>,
-    /// Its evaluation plan.
-    pub plan: Arc<Plan>,
-}
 
 /// The front-end value of one description (see the module docs).
 pub struct FrontEnd {
@@ -36,20 +26,20 @@ pub struct FrontEnd {
     /// `rtec::validate` returned it: compilation later sets aside
     /// cross-rule conflicts, this keeps every validated rule.
     pub validated: ValidatedRules,
-    /// The compiled description and its plan, or the fatal compile
+    /// The compiled description, with its plan, or the fatal compile
     /// error (a dependency cycle).
-    pub compiled: RtecResult<Compiled>,
+    pub compiled: RtecResult<Arc<CompiledDescription>>,
 }
 
 impl FrontEnd {
-    /// Parses `source` leniently, then validates, compiles and lowers
-    /// the clauses that parsed. This is the entry point for
+    /// Parses `source` leniently, then validates and compiles the
+    /// clauses that parsed. This is the entry point for
     /// LLM-generated text.
     pub fn lenient(source: &str) -> FrontEnd {
         FrontEnd::from_parsed(source.to_string(), EventDescription::parse_lenient(source))
     }
 
-    /// Validates, compiles and lowers an already parsed description.
+    /// Validates and compiles an already parsed description.
     pub fn from_parsed(source: String, parsed: EventDescription) -> FrontEnd {
         // The same steps as `EventDescription::compile`, keeping the
         // validated rules for the lint model.
@@ -57,13 +47,7 @@ impl FrontEnd {
         let validated = validate(&parsed.clauses, &mut symbols);
         let sys = SysSymbols::intern(&mut symbols);
         let compiled =
-            CompiledDescription::from_validated(symbols, sys, validated.clone()).map(|desc| {
-                let plan = Arc::new(Plan::compile(&desc));
-                Compiled {
-                    desc: Arc::new(desc),
-                    plan,
-                }
-            });
+            CompiledDescription::from_validated(symbols, sys, validated.clone()).map(Arc::new);
         FrontEnd {
             source,
             parsed,
@@ -74,7 +58,7 @@ impl FrontEnd {
 }
 
 /// Parses strictly (the first syntax error is the error), then
-/// validates, compiles and lowers. On a source that parses cleanly this
+/// validates and compiles. On a source that parses cleanly this
 /// is the lenient front end: both parses give the same clauses and
 /// symbol table.
 impl TryFrom<&str> for FrontEnd {

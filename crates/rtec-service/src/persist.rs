@@ -151,7 +151,7 @@ impl SessionCheckpoint {
         // The evaluator label: informational, always the plan's since
         // every session runs it; kept so documents stay byte-stable.
         out.push_str(",\"eval\":");
-        push_quoted(out, rtec_plan::LABEL);
+        push_quoted(out, rtec::plan::LABEL);
         out.push_str(",\"incremental\":");
         bool(out, config.incremental);
         out.push_str(",\"max_buffered_bytes\":");

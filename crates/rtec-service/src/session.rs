@@ -39,7 +39,7 @@
 
 use crate::flight::{FlightRecorder, TickTrace};
 use crate::router::{PendingItem, Route, Router, RouterSnapshot};
-use crate::worker::{ShardWorker, WorkerMsg, WorkerOptions};
+use crate::worker::{ShardWorker, WorkerMsg};
 use crossbeam::channel::bounded;
 use rtec::checkpoint::EngineCheckpoint;
 use rtec::description::CompiledDescription;
@@ -51,7 +51,7 @@ use rtec::term::{GroundFvp, Term};
 use rtec::{SymbolTable, Timepoint};
 use rtec_obs::profile::ProfileAggregate;
 use rtec_obs::Histogram;
-use rtec_plan::{Compiled, FrontEnd, Plan};
+use rtec_plan::FrontEnd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -211,10 +211,10 @@ impl ShardState {
 /// A live recognition session.
 pub struct Session {
     name: String,
+    /// The description, compiled with its evaluation plan when the
+    /// session opened (or was restored); every shard engine, respawns
+    /// included, runs that plan.
     desc: Arc<CompiledDescription>,
-    /// The evaluation plan compiled from `desc` when the session opened
-    /// (or was restored); every shard engine, respawns included, runs it.
-    plan: Arc<Plan>,
     /// Master symbol table: description symbols plus every constant seen
     /// on the stream, append-only. All routed terms are interned here.
     master: SymbolTable,
@@ -269,8 +269,8 @@ const STAMP_CAP: usize = 65536;
 impl Session {
     /// Opens a session over a description's front-end value and spawns
     /// the shard workers, which share its compiled description and
-    /// plan. A `&str` converts by strict parse, compile and lower; the
-    /// service hands over the value it already linted.
+    /// plan. A `&str` converts by strict parse and compile; the service
+    /// hands over the value it already linted.
     pub fn open<D>(
         name: impl Into<String>,
         description: D,
@@ -283,7 +283,7 @@ impl Session {
         let front: FrontEnd = description
             .try_into()
             .map_err(|e| format!("description: {e}"))?;
-        let Compiled { desc, plan } = front.compiled.map_err(|e| format!("description: {e}"))?;
+        let desc = front.compiled.map_err(|e| format!("description: {e}"))?;
         let engine_config = engine_config_for(&config)?;
         if !(1..=MAX_SHARDS).contains(&config.shards) {
             return Err(format!("shards must be between 1 and {MAX_SHARDS}"));
@@ -304,7 +304,6 @@ impl Session {
             name,
             master: desc.symbols.clone(),
             desc,
-            plan,
             workers: Vec::with_capacity(config.shards),
             shard_states: (0..config.shards).map(|_| ShardState::new()).collect(),
             router: Router::new(config.shards),
@@ -364,7 +363,7 @@ impl Session {
             master.intern(name);
         }
         if let Ok(compiled) = &front.compiled {
-            for (sym, name) in compiled.desc.symbols.iter() {
+            for (sym, name) in compiled.symbols.iter() {
                 if master.try_name(sym) != Some(name) {
                     return Err("session checkpoint symbols do not extend the description".into());
                 }
@@ -401,15 +400,10 @@ impl Session {
     /// Spawns the worker of `shard`: resumed from the shard's checkpoint
     /// when it has one, fresh otherwise.
     fn spawn_worker(&self, shard: usize) -> ShardWorker {
-        let desc = Arc::clone(&self.desc);
-        let options = WorkerOptions {
-            plan: Arc::clone(&self.plan),
-            profile: self.config.profile,
-        };
         ShardWorker::spawn(
-            desc,
+            Arc::clone(&self.desc),
             self.engine_config,
-            options,
+            self.config.profile,
             self.config.queue_capacity,
             shard,
             self.shard_states[shard].checkpoint.clone(),
@@ -1101,7 +1095,7 @@ impl Session {
 
     /// The label of the session's window evaluator (`"plan"`).
     pub fn evaluator(&self) -> &'static str {
-        rtec_plan::LABEL
+        rtec::plan::LABEL
     }
 
     /// The merged per-rule profile across shard engines as of the last

@@ -11,11 +11,13 @@ use crate::ast::{BodyLiteral, Clause, FluentKey, SimpleRule, StaticLiteral, Stat
 use crate::background::FactStore;
 use crate::error::{RtecError, RtecResult, ValidationReport};
 use crate::parser::{parse_program, parse_program_lenient, parse_term};
+use crate::plan::Plan;
 use crate::semantics::{FluentGraph, StratifyFailure};
 use crate::symbol::SymbolTable;
 use crate::term::{GroundFvp, Term};
 use crate::validate::{validate, SysSymbols};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// A parsed (but not yet compiled) event description.
 #[derive(Clone, Debug)]
@@ -124,14 +126,17 @@ pub struct CompiledDescription {
     pub simple_by_fluent: HashMap<FluentKey, Vec<usize>>,
     /// Indices into [`CompiledDescription::statics`], per fluent.
     pub static_by_fluent: HashMap<FluentKey, Vec<usize>>,
+    /// The evaluation plan lowered from the rules above, once, when the
+    /// description was compiled; clones share it.
+    plan: Arc<Plan>,
 }
 
 impl CompiledDescription {
     /// Compiles rules already validated against `symbols` (the table
     /// [`validate`] interned the reserved names into, described by
-    /// `sys`): sets aside cross-rule conflicts, indexes rules by fluent
-    /// and stratifies. [`EventDescription::compile`] is `validate`
-    /// followed by this.
+    /// `sys`): sets aside cross-rule conflicts, indexes rules by fluent,
+    /// stratifies and lowers the evaluation plan.
+    /// [`EventDescription::compile`] is `validate` followed by this.
     pub fn from_validated(
         symbols: SymbolTable,
         sys: SysSymbols,
@@ -218,7 +223,7 @@ impl CompiledDescription {
             &static_by_fluent,
         )?;
 
-        Ok(CompiledDescription {
+        let mut desc = CompiledDescription {
             symbols,
             sys,
             simple,
@@ -228,7 +233,15 @@ impl CompiledDescription {
             strata,
             simple_by_fluent,
             static_by_fluent,
-        })
+            plan: Arc::default(),
+        };
+        desc.plan = Arc::new(Plan::compile(&desc));
+        Ok(desc)
+    }
+
+    /// The evaluation plan every engine over this description runs.
+    pub fn plan(&self) -> &Plan {
+        &self.plan
     }
 
     /// Whether `key` is defined by some rule of this description.

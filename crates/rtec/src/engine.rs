@@ -35,16 +35,14 @@ use crate::description::CompiledDescription;
 use crate::eval::cache::{FluentCache, InstanceIndex};
 use crate::eval::delta::WindowDelta;
 use crate::eval::events::EventIndex;
-use crate::eval::simple::{evaluate_simple_fluent, InertiaState};
-use crate::eval::statics::evaluate_static_fluent;
+use crate::eval::simple::InertiaState;
 use crate::eval::WarningSink;
 use crate::interval::{IntervalList, Timepoint, INF};
+use crate::plan::Window;
 use crate::reorder::{DeadLetterLedger, DeadLetterReason};
 use crate::symbol::SymbolTable;
 use crate::term::{translate, GroundFvp, Term};
-use rtec_obs::profile::RuleKind;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Recent refused-event records retained per engine (counts are exact
@@ -121,124 +119,6 @@ impl EngineConfig {
     /// Whether this configuration slides (retains a window overlap).
     pub fn is_sliding(&self) -> bool {
         self.slide > 0
-    }
-}
-
-/// Everything one window's evaluation reads and writes, handed by the
-/// engine to [`WindowEvaluator::evaluate`].
-pub struct EvalCtx<'w, 'c> {
-    /// The description being evaluated: its symbols, the `=` symbol and
-    /// the background facts.
-    pub desc: &'w CompiledDescription,
-    /// The window's derived and input fluent intervals.
-    pub cache: &'w mut FluentCache<'c>,
-    /// Simple-fluent inertia carried across window boundaries.
-    pub inertia: &'w mut InertiaState,
-    /// The engine's deduplicated warning log.
-    pub warnings: &'w mut WarningSink,
-    events: &'w EventIndex,
-    /// Present under incremental evaluation: which simple fluents the
-    /// window's events can affect.
-    delta: Option<&'w WindowDelta>,
-    /// Per-rule attribution, when the engine profiles.
-    profiler: Option<&'w mut crate::profile::EngineProfiler>,
-}
-
-impl<'w> EvalCtx<'w, '_> {
-    /// The window's events.
-    pub fn events(&self) -> &'w EventIndex {
-        self.events
-    }
-
-    /// The events a simple stratum of `key` scans: the window's events,
-    /// or an empty index when the window's [`WindowDelta`] proves that
-    /// no rule of `key` matches any of them. An empty scan folds only
-    /// the inertia carry, exactly as the real scan would.
-    pub fn events_for(&self, key: FluentKey) -> &'w EventIndex {
-        static EMPTY: OnceLock<EventIndex> = OnceLock::new();
-        match self.delta {
-            Some(delta) if !delta.is_dirty(key) => EMPTY.get_or_init(EventIndex::default),
-            _ => self.events,
-        }
-    }
-
-    /// Runs one stratum's evaluation `eval`, timing it into
-    /// `rtec_engine_fluent_eval_us{kind}` and, when the engine profiles,
-    /// into the window's per-rule trace. Every evaluator routes each
-    /// stratum through here, so attribution is the same whichever one
-    /// runs; it only times the call, never alters it.
-    pub fn stratum(&mut self, key: FluentKey, kind: RuleKind, eval: impl FnOnce(&mut Self)) {
-        let ops_before = crate::profile::interval_ops();
-        let started = Instant::now();
-        eval(self);
-        let elapsed = started.elapsed();
-        let metrics = crate::obs::metrics();
-        match kind {
-            RuleKind::Simple => &metrics.fluent_eval_simple_us,
-            RuleKind::Static => &metrics.fluent_eval_static_us,
-        }
-        .observe_duration(elapsed);
-        if let Some(profiler) = self.profiler.as_deref_mut() {
-            profiler.record(
-                &self.desc.symbols,
-                key,
-                kind,
-                elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-                crate::profile::interval_ops().wrapping_sub(ops_before),
-            );
-        }
-    }
-}
-
-/// A window-evaluation strategy.
-///
-/// The engine owns windowing, inertia carry, checkpointing and output
-/// folding; an evaluator only derives the window's fluent intervals into
-/// the cache, bottom-up over the description's strata, passing each
-/// stratum through [`EvalCtx::stratum`]. The AST interpreter
-/// ([`Interpreter`]) is the reference semantics and [`Engine::new`]'s
-/// built-in evaluator; `rtec-plan` compiles the plan that production
-/// runs, installed with [`Engine::with_evaluator`]. An evaluator holds
-/// no per-window state, so one instance can serve many engines at once.
-/// Implementations must be observationally identical to the
-/// interpreter: same cache contents, same inertia updates, same
-/// warnings in the same order.
-pub trait WindowEvaluator: Send + Sync {
-    /// A short label recorded (informationally) in checkpoints.
-    fn label(&self) -> &'static str;
-
-    /// Evaluates one window: derives every defined fluent into
-    /// `ctx.cache`, updating `ctx.inertia` and reporting to
-    /// `ctx.warnings`.
-    fn evaluate(&self, ctx: EvalCtx<'_, '_>);
-}
-
-/// The AST interpreter ([`crate::eval::simple`] /
-/// [`crate::eval::statics`]): the reference the compiled plan is tested
-/// against.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Interpreter;
-
-impl WindowEvaluator for Interpreter {
-    fn label(&self) -> &'static str {
-        "interpreter"
-    }
-
-    fn evaluate(&self, mut ctx: EvalCtx<'_, '_>) {
-        let desc = ctx.desc;
-        for &key in &desc.strata {
-            if desc.simple_by_fluent.contains_key(&key) {
-                let events = ctx.events_for(key);
-                ctx.stratum(key, RuleKind::Simple, |c| {
-                    evaluate_simple_fluent(desc, key, events, c.cache, c.inertia, c.warnings)
-                });
-            }
-            if desc.static_by_fluent.contains_key(&key) {
-                ctx.stratum(key, RuleKind::Static, |c| {
-                    evaluate_static_fluent(desc, key, c.cache, c.warnings)
-                });
-            }
-        }
     }
 }
 
@@ -429,8 +309,6 @@ pub struct Engine<'a> {
     dead_letters: DeadLetterLedger,
     /// Stale refusals since the last `run_to` warning flush.
     stale_rejected: usize,
-    /// Window-evaluation strategy; `None` runs the [`Interpreter`].
-    evaluator: Option<Arc<dyn WindowEvaluator>>,
     /// Per-rule cost attribution; `None` (the default) disables
     /// profiling entirely. Process-local — never part of a checkpoint,
     /// so checkpoint bytes are identical with profiling on or off.
@@ -445,7 +323,7 @@ pub struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     /// Creates an engine over a compiled event description, evaluating
-    /// windows with the [`Interpreter`].
+    /// windows with the description's plan.
     pub fn new(desc: &'a CompiledDescription, config: EngineConfig) -> Engine<'a> {
         let inertia = InertiaState::new();
         let sliding = config
@@ -465,42 +343,15 @@ impl<'a> Engine<'a> {
             stats: EngineStats::default(),
             dead_letters: DeadLetterLedger::new(ENGINE_DEAD_LETTER_CAP),
             stale_rejected: 0,
-            evaluator: None,
             profiler: None,
             sliding,
             inputs_version: 0,
         }
     }
 
-    /// Creates an engine that evaluates windows with `evaluator`, which
-    /// must have been compiled from the same description. Engines may
-    /// share one evaluator.
-    pub fn with_evaluator(
-        desc: &'a CompiledDescription,
-        config: EngineConfig,
-        evaluator: Arc<dyn WindowEvaluator>,
-    ) -> Engine<'a> {
-        let mut engine = Engine::new(desc, config);
-        engine.set_evaluator(evaluator);
-        engine
-    }
-
-    /// Installs (or replaces) the window-evaluation strategy. Safe at any
-    /// window boundary — all carried state (inertia, inputs, output) is
-    /// strategy-agnostic, which is what keeps checkpoints portable across
-    /// evaluators.
-    pub fn set_evaluator(&mut self, evaluator: Arc<dyn WindowEvaluator>) {
-        self.evaluator = Some(evaluator);
-    }
-
-    /// The label of the active evaluation strategy.
-    pub fn eval_label(&self) -> &'static str {
-        self.evaluator.as_deref().unwrap_or(&Interpreter).label()
-    }
-
-    /// Enables per-rule profiling (idempotent). Works with either
-    /// evaluation strategy and never perturbs recognition output —
-    /// attribution only times the existing per-stratum calls.
+    /// Enables per-rule profiling (idempotent). Never perturbs
+    /// recognition output — attribution only times the existing
+    /// per-stratum calls.
     pub fn enable_profiler(&mut self) {
         if self.profiler.is_none() {
             self.profiler = Some(crate::profile::EngineProfiler::new());
@@ -793,7 +644,7 @@ impl<'a> Engine<'a> {
             self.warnings.messages().to_vec(),
             self.stats,
             sliding,
-            Some(self.eval_label().to_string()),
+            Some(crate::plan::LABEL.to_string()),
         )
     }
 
@@ -858,7 +709,6 @@ impl<'a> Engine<'a> {
             stats: checkpoint.stats,
             dead_letters: DeadLetterLedger::new(ENGINE_DEAD_LETTER_CAP),
             stale_rejected: 0,
-            evaluator: None,
             profiler: None,
             sliding,
             inputs_version: 0,
@@ -1024,16 +874,17 @@ impl<'a> Engine<'a> {
         let index = EventIndex::build(chunk_events);
         let delta = use_delta.then(|| WindowDelta::compute(self.desc, &index));
         let mut cache = FluentCache::new(&self.inputs, &self.inputs_by_key);
-        let evaluator = self.evaluator.as_deref().unwrap_or(&Interpreter);
-        evaluator.evaluate(EvalCtx {
-            desc: self.desc,
-            cache: &mut cache,
-            inertia: &mut self.inertia,
-            warnings: &mut self.warnings,
-            events: &index,
-            delta: delta.as_ref(),
-            profiler: self.profiler.as_mut(),
-        });
+        self.desc.plan().evaluate(
+            self.desc,
+            Window {
+                events: &index,
+                delta: delta.as_ref(),
+                cache: &mut cache,
+                inertia: &mut self.inertia,
+                warnings: &mut self.warnings,
+                profiler: self.profiler.as_mut(),
+            },
+        );
 
         // Fold the window's results into the global output.
         //

@@ -1,19 +1,17 @@
-//! The recognition engine's evaluation internals.
+//! The per-window state the evaluation plan ([`crate::plan`]) reads and
+//! writes.
 //!
 //! Split by concern: [`arith`] evaluates arithmetic comparisons,
 //! [`events`] indexes a window's input events, [`cache`] holds computed and
-//! input interval lists, [`body`] solves simple-rule bodies by backtracking,
-//! [`simple`] derives maximal intervals of simple fluents under the law of
-//! inertia, and [`statics`] evaluates statically-determined fluents via the
-//! interval constructs.
+//! input interval lists, [`delta`] finds the simple fluents a window's
+//! events can affect, and [`simple`] turns initiation and termination
+//! points into maximal intervals under the law of inertia.
 
 pub mod arith;
-pub mod body;
 pub mod cache;
 pub mod delta;
 pub mod events;
 pub mod simple;
-pub mod statics;
 
 use std::collections::HashSet;
 

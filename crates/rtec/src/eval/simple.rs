@@ -11,12 +11,8 @@
 //! each ground fluent: if `F=V` held at the end of the previous window and
 //! nothing terminated it, it keeps holding (inertia).
 
-use crate::ast::{BodyLiteral, FluentKey, SimpleKind};
-use crate::description::CompiledDescription;
-use crate::eval::body::{solve, BodyCtx};
+use crate::ast::{FluentKey, SimpleKind};
 use crate::eval::cache::FluentCache;
-use crate::eval::events::EventIndex;
-use crate::eval::WarningSink;
 use crate::interval::{Interval, IntervalList, Timepoint};
 use crate::symbol::Symbol;
 use crate::term::{match_term, Bindings, GroundFvp, Term};
@@ -33,8 +29,8 @@ pub type InertiaState = HashMap<Term, Vec<(Term, Timepoint)>>;
 /// Values are kept in first-recorded order, *not* hashed: the order
 /// flows into the open-value vector of the [`InertiaState`] (observable
 /// in checkpoints) when a degenerate rule set leaves several values of
-/// one fluent open at once, so it must be deterministic and identical
-/// across evaluators, not an artifact of hash iteration.
+/// one fluent open at once, so it must be deterministic, not an artifact
+/// of hash iteration.
 #[derive(Debug, Default)]
 struct PointSets {
     /// value -> (initiations, explicit terminations)
@@ -68,10 +64,8 @@ impl PointSets {
 }
 
 /// Accumulates the initiation/termination points fired by the rules of
-/// one simple fluent within one window. Both the AST interpreter and the
-/// plan evaluator (rtec-plan) feed a collector and then hand it to
-/// [`finalize_simple_fluent`], so the inertia/interval-assembly semantics
-/// cannot diverge between the two.
+/// one simple fluent within one window; the plan evaluator hands it to
+/// [`finalize_simple_fluent`].
 #[derive(Debug, Default)]
 pub struct PointCollector {
     points: HashMap<Term, PointSets>,
@@ -102,102 +96,15 @@ impl PointCollector {
     }
 }
 
-/// Evaluates all rules of the simple fluent `key` for the window
-/// `(window_start, window_end]`, inserting per-FVP interval lists into the
-/// cache and updating the inertia state.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_simple_fluent(
-    desc: &CompiledDescription,
-    key: FluentKey,
-    events: &EventIndex,
-    cache: &mut FluentCache<'_>,
-    inertia: &mut InertiaState,
-    warnings: &mut WarningSink,
-) {
-    let Some(rule_ids) = desc.simple_by_fluent.get(&key) else {
-        return;
-    };
-
-    // 1. Collect initiation and termination points per ground FVP.
-    // Terminations whose head is not fully instantiated by the body apply
-    // universally: e.g. `terminatedAt(withinArea(Vl, AreaType)=true, T) :-
-    // happensAt(gap_start(Vl), T).` (paper rule (3)) terminates
-    // withinArea(v, *every* AreaType). They are expanded against the known
-    // ground instances after collection.
-    let mut collector = PointCollector::new();
-    // Warnings raised inside the solution callback (which already borrows
-    // the main sink through `solve`) are buffered here.
-    let mut deferred_warnings: Vec<String> = Vec::new();
-    {
-        let ctx = BodyCtx {
-            desc,
-            events,
-            cache,
-        };
-        for &rid in rule_ids {
-            let rule = &desc.simple[rid];
-            let Some(BodyLiteral::HappensAt {
-                negated: false,
-                event,
-            }) = rule.body.first()
-            else {
-                // Validation guarantees this shape; defensive skip.
-                continue;
-            };
-            let Some(sig) = event.signature() else {
-                continue;
-            };
-            for (t, ev) in events.all(sig) {
-                let mut bindings = Bindings::new();
-                if !match_term(event, ev, &mut bindings) {
-                    continue;
-                }
-                // The head's time variable is visible to comparisons.
-                if bindings.lookup(rule.time_var).is_none() {
-                    bindings.bind(rule.time_var, Term::Int(*t));
-                }
-                let t = *t;
-                solve(
-                    &ctx,
-                    &rule.body,
-                    1,
-                    t,
-                    &mut bindings,
-                    warnings,
-                    &mut |b: &mut Bindings| {
-                        let fluent = rule.fvp.fluent.apply(b);
-                        let value = rule.fvp.value.apply(b);
-                        if !fluent.is_ground() || !value.is_ground() {
-                            if rule.kind == SimpleKind::Terminated {
-                                let pat = Term::Compound(desc.sys.eq, vec![fluent, value]);
-                                collector.record_pattern_termination(pat, t);
-                            } else {
-                                deferred_warnings.push(format!(
-                                    "initiatedAt head '{}' not fully instantiated; \
-                                     instance dropped",
-                                    rule.fvp.display(&desc.symbols)
-                                ));
-                            }
-                            return;
-                        }
-                        collector.record(rule.kind, fluent, value, t);
-                    },
-                );
-            }
-        }
-    }
-
-    for w in deferred_warnings {
-        warnings.push(w);
-    }
-
-    finalize_simple_fluent(key, desc.sys.eq, collector, cache, inertia);
-}
-
 /// Turns the collected initiation/termination points of one simple fluent
 /// into maximal intervals (law of inertia), inserting them into the cache
-/// and updating the inertia state. Shared verbatim by the AST interpreter
-/// and the plan evaluator.
+/// and updating the inertia state.
+///
+/// Terminations whose head the body left non-ground apply universally:
+/// e.g. `terminatedAt(withinArea(Vl, AreaType)=true, T) :-
+/// happensAt(gap_start(Vl), T).` (paper rule (3)) terminates
+/// withinArea(v, *every* AreaType). They are expanded here against the
+/// known ground instances.
 pub fn finalize_simple_fluent(
     key: FluentKey,
     eq: Symbol,
