@@ -261,8 +261,8 @@ pub fn kind_conflicts(model: &DescriptionModel<'_>, out: &mut Vec<Diagnostic>) {
 /// engine's stratified bottom-up evaluation impossible; `compile()`
 /// would fail with `CyclicDependency`, so the analyzer reports it
 /// first, with positions. The graph itself — and the cycle enumeration —
-/// lives in [`rtec::semantics`], shared with the compiler's stratifier
-/// and rtec-plan's stratum schedule.
+/// lives in [`rtec::semantics`], shared with the compiler's stratifier,
+/// which also orders the plan's strata.
 pub fn dependency_cycles(model: &DescriptionModel<'_>, out: &mut Vec<Diagnostic>) {
     // clause index -> defined key, so body refs can be attributed.
     let mut clause_defines: BTreeMap<usize, FluentKey> = BTreeMap::new();

@@ -21,8 +21,8 @@
 //!   the span stack.
 //! * **Profiles** ([`profile`]) — per-rule evaluation cost attribution
 //!   (self time, calls, interval-algebra ops) with bounded-cardinality
-//!   top-N + `other` exposition, shared by the engine, both evaluators
-//!   and the service's `profile` command.
+//!   top-N + `other` exposition, shared by the engine and the service's
+//!   `profile` command.
 //! * **Count tables** ([`table`]) — sorted name→count tables shared by
 //!   stream statistics and telemetry summaries.
 //!

@@ -1,9 +1,9 @@
 //! Per-rule evaluation profiling: cost attribution, aggregation and
 //! bounded-cardinality exposition.
 //!
-//! The engine (and the `rtec-plan` executor) attribute self wall-time,
-//! invocation counts and interval-algebra op counts to each fluent
-//! symbol as they evaluate a window, flushing one [`WindowProfile`] per
+//! The engine's plan executor attributes self wall-time, invocation
+//! counts and interval-algebra op counts to each fluent symbol as it
+//! evaluates a window, flushing one [`WindowProfile`] per
 //! window into a session-lifetime [`ProfileAggregate`]. This module is
 //! deliberately string-keyed and engine-agnostic so the same shapes
 //! serve the engine, the service's `profile` wire command, the CLI's

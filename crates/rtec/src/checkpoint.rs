@@ -61,10 +61,11 @@ use crate::term::{GroundFvp, Term};
 /// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: i64 = 1;
 
-/// Evaluator labels a checkpoint envelope may carry: the interpreter,
-/// the compiled plan, and `optimized` from writers that still had the
-/// plan optimizer. All restore alike — engine state is
-/// evaluator-agnostic — and any other label is refused.
+/// Evaluator labels a checkpoint envelope may carry: `plan`, which every
+/// writer now writes, and `interpreter` and `optimized` from writers
+/// that still had the AST interpreter or the plan optimizer. All
+/// restore alike — engine state never depended on the evaluator — and
+/// any other label is refused.
 pub const EVALUATOR_LABELS: [&str; 3] = ["interpreter", "plan", "optimized"];
 
 /// Encoded inertia state: ground fluent term paired with its open
@@ -111,7 +112,7 @@ pub struct EngineCheckpoint {
     /// Label of the evaluation strategy that wrote the checkpoint (one
     /// of [`EVALUATOR_LABELS`]). Informational only: it lives in the
     /// JSON envelope, outside the checksummed state, and restore ignores
-    /// it — checkpoints are portable across evaluators.
+    /// it.
     pub(crate) eval_mode: Option<String>,
 }
 

@@ -1,7 +1,7 @@
 //! Per-window change detection for incremental re-evaluation.
 //!
 //! Candidate instances of a simple fluent's rules come *only* from the
-//! first body literal (a positive `happensAt`): the evaluators scan the
+//! first body literal (a positive `happensAt`): the plan scans the
 //! window's [`EventIndex`] for events matching that literal's signature
 //! and solve the remaining conditions per candidate. A fluent key whose
 //! rules find **zero** candidate events therefore evaluates exactly as
@@ -15,8 +15,8 @@
 //! The analysis is deliberately conservative:
 //!
 //! * a rule whose first literal is not the expected positive
-//!   `happensAt` shape (the validator forbids this; evaluators skip such
-//!   rules defensively) marks its key dirty,
+//!   `happensAt` shape (the validator forbids this; lowering drops such
+//!   rules) marks its key dirty,
 //! * statically-determined fluents are **not** tracked — they read the
 //!   cache and the input-fluent intervals, both of which may change
 //!   without any event arriving, so they are always re-evaluated,

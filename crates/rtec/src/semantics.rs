@@ -2,7 +2,7 @@
 //!
 //! Both the compiler ([`crate::description`], which needs a bottom-up
 //! stratum order for evaluation) and external analyzers (rtec-lint's
-//! RL0301 cycle check, rtec-plan's stratum schedule) reason over the same
+//! RL0301 cycle check, rtec-analysis) reason over the same
 //! graph: defined fluents as nodes, "the definition of `head` references
 //! `dep`" as edges. This module is the single home of that graph so the
 //! three consumers cannot drift apart.
