@@ -103,5 +103,110 @@ fn bench_grid_plan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_recognition, bench_grid_plan);
+/// The per-literal probe description: `withinArea` (the paper's rules
+/// (1)-(3)), so the ground `holdsAt` probe has something to read, and
+/// one probe fluent per literal kind, each triggered by every
+/// `velocity` event. From `pCompare` on, each probe adds one literal
+/// kind to the trigger and a comparison that never holds; `pHead` and
+/// `pPattern` hold theirs, so a head (or a pattern termination) is
+/// recorded on every event.
+const LITERAL_PROBES: &str = "
+initiatedAt(withinArea(V, AreaType)=true, T) :-
+    happensAt(entersArea(V, AreaId), T), areaType(AreaId, AreaType).
+terminatedAt(withinArea(V, AreaType)=true, T) :-
+    happensAt(leavesArea(V, AreaId), T), areaType(AreaId, AreaType).
+terminatedAt(withinArea(V, _AreaType)=true, T) :-
+    happensAt(gap_start(V), T).
+initiatedAt(pCompare(V)=true, T) :-
+    happensAt(velocity(V, S, _H, _C), T), S < 0.
+initiatedAt(pConstFact(V)=true, T) :-
+    happensAt(velocity(V, S, _H, _C), T), thresholds(movingMin, M), S < M - 1000.
+initiatedAt(pSlotFact(V)=true, T) :-
+    happensAt(velocity(V, S, _H, _C), T), vesselType(V, _Ty), S < 0.
+initiatedAt(pHoldsAt(V)=true, T) :-
+    happensAt(velocity(V, S, _H, _C), T), holdsAt(withinArea(V, nearCoast)=true, T), S < 0.
+initiatedAt(pHead(V)=true, T) :-
+    happensAt(velocity(V, S, _H, _C), T), S >= 0.
+initiatedAt(pDrift(V)=true, T) :-
+    happensAt(velocity(V, _S, H, C), T), min(abs(H - C), 360 - abs(H - C)) < 0.
+initiatedAt(pPattern(V)=true, T) :-
+    happensAt(gap_end(V), T).
+terminatedAt(pPattern(V)=_X, T) :-
+    happensAt(velocity(V, S, _H, _C), T), S >= 0.
+";
+
+/// `(cell, probe fluent)` of each `recognition/literal_costs` cell.
+const LITERAL_CELLS: &[(&str, &str)] = &[
+    ("trigger_compare", "pCompare/1"),
+    ("const_fact", "pConstFact/1"),
+    ("slot_fact", "pSlotFact/1"),
+    ("ground_holds_at", "pHoldsAt/1"),
+    ("head_record", "pHead/1"),
+    ("drifting_compare", "pDrift/1"),
+    ("pattern_termination", "pPattern/1"),
+];
+
+/// Per-literal plan cost (`recognition/literal_costs/<kind>`): the probe
+/// description windowless over `BrestScenario::large()` seed 1, one
+/// `run_to` to the horizon, and each cell times one probe fluent's
+/// stratum with the engine's per-rule profiler. A cell's difference
+/// from `trigger_compare` is the cost of the literal it adds. The
+/// window's shared work (interning its events, folding the output)
+/// belongs to no stratum; `window` times the whole `run_to`.
+fn bench_literal_costs(c: &mut Criterion) {
+    let dataset = Dataset::generate(&BrestScenario {
+        seed: 1,
+        ..BrestScenario::large()
+    });
+    let horizon = dataset.horizon() + 1;
+    let compiled = dataset
+        .with_background(LITERAL_PROBES)
+        .compile()
+        .expect("the probe description compiles");
+    assert!(
+        !compiled.report.has_errors(),
+        "a probe rule is rejected: {:?}",
+        compiled.report.issues
+    );
+    // Runs the description once; the profiler's self time of `fluent`
+    // (the whole `run_to` for `None`).
+    let run = |fluent: Option<&str>| -> Duration {
+        let mut engine = loaded(&compiled, &dataset);
+        engine.enable_profiler();
+        let started = Instant::now();
+        engine.run_to(horizon);
+        let window = started.elapsed();
+        let profile = engine.profile().expect("profiling is on");
+        match fluent {
+            None => window,
+            Some(name) => {
+                let entry = profile
+                    .sorted()
+                    .into_iter()
+                    .find(|e| e.name == name)
+                    .unwrap_or_else(|| panic!("{name} has a stratum"));
+                Duration::from_nanos(entry.cost.self_ns)
+            }
+        }
+    };
+    let mut group = c.benchmark_group("recognition/literal_costs");
+    group.sample_size(10);
+    for (cell, fluent) in LITERAL_CELLS
+        .iter()
+        .map(|(cell, fluent)| (*cell, Some(*fluent)))
+        .chain([("window", None)])
+    {
+        group.bench_function(cell, |b| {
+            b.iter_custom(|iters| (0..iters).map(|_| run(fluent)).sum())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_recognition,
+    bench_grid_plan,
+    bench_literal_costs
+);
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! The reference's arithmetic: expressions and comparisons evaluated
 //! under [`Bindings`], written from LANGUAGE.md §4 and independent of
-//! the engine's frame-backed `rtec::eval::arith`. The tests below hold
-//! the two to the same values.
+//! the engine's lowered `rtec::eval::arith`. The tests below hold the
+//! two to the same values.
 
 use rtec::ast::CmpOp;
 use rtec::term::{match_term, Bindings, Term};
@@ -80,22 +80,21 @@ pub fn compare(op: CmpOp, lhs: &Term, rhs: &Term, b: &mut Bindings, symbols: &Sy
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtec::eval::arith::{compare_frame, eval_num_frame, CompareOutcome};
+    use rtec::arena::{TermArena, Terms};
+    use rtec::eval::arith::{ArithCtx, ArithOps, CompareOutcome, Expr};
     use rtec::frame::Frame;
+    use rtec::lower::lower_compare;
     use rtec::parser::parse_term;
     use rtec::plan::ir::VarTable;
 
-    /// The engine's frame arithmetic and the reference's agree on the
+    /// The engine's lowered arithmetic and the reference's agree on the
     /// value of every expression, and on which have none.
     #[test]
     fn mirrors_agree_with_bindings_arith() {
         let mut sym = SymbolTable::new();
         let x = sym.intern("X");
         let y = sym.intern("Y");
-        let mut vars = VarTable::default();
-        let sx = vars.intern(x);
-        let sy = vars.intern(y);
-        for (src, expected) in [
+        let sources = [
             ("X + 1", Some(6.0)),
             ("abs(X - Y) * 2", Some(5.0)),
             ("min(X, 3) + max(Y, 4)", Some(7.0)),
@@ -104,17 +103,40 @@ mod tests {
             ("Speed / 0", None),
             ("X / 0", None),
             ("Unknown", None),
-        ] {
-            let t = parse_term(src, &mut sym).unwrap();
+        ];
+        let parsed: Vec<Term> = sources
+            .iter()
+            .map(|(src, _)| parse_term(src, &mut sym).unwrap())
+            .collect();
+        let frozen = TermArena::frozen(sym.len(), |_| {});
+        let ops = ArithOps::new(&sym);
+        let ctx = ArithCtx {
+            symbols: &sym,
+            ops: &ops,
+        };
+        for ((src, expected), t) in sources.iter().zip(&parsed) {
+            let mut vars = VarTable::default();
+            let sx = vars.intern(x);
+            let sy = vars.intern(y);
+            for v in t.variables() {
+                vars.intern(v);
+            }
             let mut b = Bindings::new();
             b.bind(x, Term::Int(5));
             b.bind(y, Term::Float(2.5));
+            let mut overlay = TermArena::overlay(&frozen);
+            let mut terms = Terms::new(&frozen, &mut overlay);
             let mut frame = Frame::new(&vars);
-            frame.bind_slot(sx, Term::Int(5));
-            frame.bind_slot(sy, Term::Float(2.5));
-            let via_bindings = number(&t, &b, &sym);
-            assert_eq!(via_bindings, expected, "{src}");
-            assert_eq!(via_bindings, eval_num_frame(&t, &frame, &sym).ok(), "{src}");
+            frame.bind_slot(sx, terms.intern_term(&Term::Int(5)));
+            frame.bind_slot(sy, terms.intern_term(&Term::Float(2.5)));
+            let via_bindings = number(t, &b, &sym);
+            assert_eq!(via_bindings, *expected, "{src}");
+            let lowered = Expr::lower(t, &vars, &sym);
+            assert_eq!(
+                via_bindings,
+                lowered.eval(&frame, &terms, &ctx).ok(),
+                "{src}"
+            );
         }
     }
 
@@ -128,20 +150,33 @@ mod tests {
         let d = sym.get("D").unwrap();
         let x = sym.get("X").unwrap();
         let mut vars = VarTable::default();
-        let sd = vars.intern(d);
-        let sx = vars.intern(x);
+        let mut lowered = None;
+        let frozen = TermArena::frozen(sym.len(), |terms| {
+            lowered = Some(lower_compare(&lhs, &rhs, &mut vars, &sym, terms));
+        });
+        let lowered = lowered.expect("lowered");
+        let sd = vars.slot(d).unwrap();
+        let sx = vars.slot(x).unwrap();
 
         let mut b = Bindings::new();
         b.bind(x, Term::Int(5));
+        let mut overlay = TermArena::overlay(&frozen);
+        let mut terms = Terms::new(&frozen, &mut overlay);
         let mut frame = Frame::new(&vars);
-        frame.bind_slot(sx, Term::Int(5));
+        frame.bind_slot(sx, terms.intern_term(&Term::Int(5)));
+        let ops = ArithOps::new(&sym);
+        let ctx = ArithCtx {
+            symbols: &sym,
+            ops: &ops,
+        };
 
         assert!(compare(CmpOp::Eq, &lhs, &rhs, &mut b, &sym));
         assert!(matches!(
-            compare_frame(CmpOp::Eq, &lhs, &rhs, &mut frame, &sym),
+            rtec::eval::arith::compare(CmpOp::Eq, &lowered, &mut frame, &mut terms, &ctx),
             CompareOutcome::Bound
         ));
-        assert_eq!(b.lookup(d), frame.get_slot(sd));
-        assert_eq!(frame.get_slot(sd), Some(&Term::Int(6)));
+        let bound = frame.get_slot(sd).map(|id| terms.to_term(id));
+        assert_eq!(b.lookup(d), bound.as_ref());
+        assert_eq!(bound, Some(Term::Int(6)));
     }
 }

@@ -11,11 +11,11 @@
 //! each ground fluent: if `F=V` held at the end of the previous window and
 //! nothing terminated it, it keeps holding (inertia).
 
+use crate::arena::{FxHashMap, TermId, Terms};
 use crate::ast::{FluentKey, SimpleKind};
 use crate::eval::cache::FluentCache;
 use crate::interval::{Interval, IntervalList, Timepoint};
-use crate::symbol::Symbol;
-use crate::term::{match_term, Bindings, GroundFvp, Term};
+use crate::term::Term;
 use std::collections::HashMap;
 
 /// Open FVPs carried across windows: ground fluent term -> open
@@ -23,6 +23,31 @@ use std::collections::HashMap;
 /// open value; the vector tolerates degenerate rule sets that initiate two
 /// values at the same time-point.
 pub type InertiaState = HashMap<Term, Vec<(Term, Timepoint)>>;
+
+/// The open FVPs of one fluent key, taken out of an [`InertiaState`] for
+/// one window.
+pub type Carried = Vec<(Term, Vec<(Term, Timepoint)>)>;
+
+/// Moves every entry of `inertia` into groups by fluent key, so that
+/// each simple stratum reads its own carried instances instead of
+/// filtering all of them. Entries without a key (never written by the
+/// executor) group under `None`; [`restore_carried`] puts back whatever
+/// no stratum took.
+pub fn take_carried(inertia: &mut InertiaState) -> FxHashMap<Option<FluentKey>, Carried> {
+    let mut by_key: FxHashMap<Option<FluentKey>, Carried> = FxHashMap::default();
+    for (fluent, open) in inertia.drain() {
+        by_key
+            .entry(fluent.signature())
+            .or_default()
+            .push((fluent, open));
+    }
+    by_key
+}
+
+/// Returns the groups no stratum took to `inertia`.
+pub fn restore_carried(inertia: &mut InertiaState, rest: FxHashMap<Option<FluentKey>, Carried>) {
+    inertia.extend(rest.into_values().flatten());
+}
 
 /// Initiation/termination points collected for one ground fluent.
 ///
@@ -34,32 +59,32 @@ pub type InertiaState = HashMap<Term, Vec<(Term, Timepoint)>>;
 #[derive(Debug, Default)]
 struct PointSets {
     /// value -> (initiations, explicit terminations)
-    by_value: Vec<(Term, InitTermPoints)>,
+    by_value: Vec<(TermId, InitTermPoints)>,
 }
 
 /// (initiation time-points, explicit-termination time-points).
 type InitTermPoints = (Vec<Timepoint>, Vec<Timepoint>);
 
 impl PointSets {
-    fn entry(&mut self, value: &Term) -> &mut InitTermPoints {
-        match self.by_value.iter().position(|(v, _)| v == value) {
+    fn entry(&mut self, value: TermId) -> &mut InitTermPoints {
+        match self.by_value.iter().position(|(v, _)| *v == value) {
             Some(i) => &mut self.by_value[i].1,
             None => {
-                self.by_value.push((value.clone(), Default::default()));
+                self.by_value.push((value, Default::default()));
                 &mut self.by_value.last_mut().expect("just pushed").1
             }
         }
     }
 
-    fn get(&self, value: &Term) -> Option<&InitTermPoints> {
+    fn get(&self, value: TermId) -> Option<&InitTermPoints> {
         self.by_value
             .iter()
-            .find(|(v, _)| v == value)
+            .find(|(v, _)| *v == value)
             .map(|(_, e)| e)
     }
 
-    fn contains(&self, value: &Term) -> bool {
-        self.by_value.iter().any(|(v, _)| v == value)
+    fn contains(&self, value: TermId) -> bool {
+        self.by_value.iter().any(|(v, _)| *v == value)
     }
 }
 
@@ -68,10 +93,11 @@ impl PointSets {
 /// [`finalize_simple_fluent`].
 #[derive(Debug, Default)]
 pub struct PointCollector {
-    points: HashMap<Term, PointSets>,
-    /// Terminations whose head was not fully instantiated; expanded
-    /// against the known ground instances at finalization.
-    pattern_terminations: Vec<(Term, Timepoint)>,
+    points: FxHashMap<TermId, PointSets>,
+    /// Terminations whose head was not fully instantiated, as `(fluent,
+    /// value)` patterns; expanded against the known ground instances at
+    /// finalization.
+    pattern_terminations: Vec<(TermId, TermId, Timepoint)>,
 }
 
 impl PointCollector {
@@ -81,24 +107,25 @@ impl PointCollector {
     }
 
     /// Records a rule firing for a ground head `fluent = value` at `t`.
-    pub fn record(&mut self, kind: SimpleKind, fluent: Term, value: Term, t: Timepoint) {
-        let entry = self.points.entry(fluent).or_default().entry(&value);
+    pub fn record(&mut self, kind: SimpleKind, fluent: TermId, value: TermId, t: Timepoint) {
+        let entry = self.points.entry(fluent).or_default().entry(value);
         match kind {
             SimpleKind::Initiated => entry.0.push(t),
             SimpleKind::Terminated => entry.1.push(t),
         }
     }
 
-    /// Records a termination whose head pattern `F=V` kept unbound
-    /// variables; it terminates every matching ground instance.
-    pub fn record_pattern_termination(&mut self, pattern: Term, t: Timepoint) {
-        self.pattern_terminations.push((pattern, t));
+    /// Records a termination whose head pattern `fluent = value` kept
+    /// unbound variables; it terminates every matching ground instance.
+    pub fn record_pattern_termination(&mut self, fluent: TermId, value: TermId, t: Timepoint) {
+        self.pattern_terminations.push((fluent, value, t));
     }
 }
 
 /// Turns the collected initiation/termination points of one simple fluent
 /// into maximal intervals (law of inertia), inserting them into the cache
-/// and updating the inertia state.
+/// and writing the instances left open back to `inertia`. `carried` is
+/// the fluent's share of the inertia state (see [`take_carried`]).
 ///
 /// Terminations whose head the body left non-ground apply universally:
 /// e.g. `terminatedAt(withinArea(Vl, AreaType)=true, T) :-
@@ -106,26 +133,28 @@ impl PointCollector {
 /// withinArea(v, *every* AreaType). They are expanded here against the
 /// known ground instances.
 pub fn finalize_simple_fluent(
-    key: FluentKey,
-    eq: Symbol,
     collector: PointCollector,
+    carried: Carried,
     cache: &mut FluentCache<'_>,
     inertia: &mut InertiaState,
+    terms: &mut Terms<'_>,
 ) {
     let PointCollector {
         mut points,
         pattern_terminations,
     } = collector;
 
-    // 2. Fold in carried-open values of fluents with this key so that
-    //    cross-value initiations can terminate them.
-    let carried: Vec<Term> = inertia
-        .keys()
-        .filter(|fl| fl.signature() == Some(key))
-        .cloned()
-        .collect();
-    for fl in carried {
-        points.entry(fl).or_default();
+    // 2. Fold in carried-open values of this key so that cross-value
+    //    initiations can terminate them.
+    let mut open: FxHashMap<TermId, (Term, Vec<(TermId, Timepoint)>)> = FxHashMap::default();
+    for (fluent, values) in carried {
+        let fid = terms.intern_term(&fluent);
+        let values = values
+            .iter()
+            .map(|(v, start)| (terms.intern_term(v), *start))
+            .collect();
+        points.entry(fid).or_default();
+        open.insert(fid, (fluent, values));
     }
 
     // 2b. Expand pattern terminations against the known ground instances
@@ -134,24 +163,25 @@ pub fn finalize_simple_fluent(
     //     `terminatedAt(movingSpeed(v7)=Value, T)` — resolves with one
     //     hash lookup; only patterns with a non-ground fluent scan.
     if !pattern_terminations.is_empty() {
-        let mut candidates: HashMap<Term, Vec<Term>> = HashMap::new();
-        for (fluent, sets) in &points {
-            let bucket = candidates.entry(fluent.clone()).or_default();
-            for (value, _) in &sets.by_value {
-                bucket.push(value.clone());
-            }
-            if let Some(open) = inertia.get(fluent) {
-                for (value, _) in open {
-                    if !sets.contains(value) {
-                        bucket.push(value.clone());
-                    }
+        let candidates: FxHashMap<TermId, Vec<TermId>> = points
+            .iter()
+            .map(|(fluent, sets)| {
+                let mut values: Vec<TermId> = sets.by_value.iter().map(|(v, _)| *v).collect();
+                if let Some((_, carried)) = open.get(fluent) {
+                    values.extend(
+                        carried
+                            .iter()
+                            .map(|(v, _)| *v)
+                            .filter(|v| !sets.contains(*v)),
+                    );
                 }
-            }
-        }
+                (*fluent, values)
+            })
+            .collect();
         let add_termination =
-            |points: &mut HashMap<Term, PointSets>, fluent: &Term, value: &Term, t: Timepoint| {
+            |points: &mut FxHashMap<TermId, PointSets>, fluent: TermId, value: TermId, t| {
                 points
-                    .get_mut(fluent)
+                    .get_mut(&fluent)
                     .expect("candidate came from points")
                     .entry(value)
                     .1
@@ -159,42 +189,36 @@ pub fn finalize_simple_fluent(
             };
         // Candidate pairs for the non-ground-fluent fallback, built once
         // for all pattern terminations instead of per firing.
-        let needs_fallback = pattern_terminations.iter().any(|(pat, _)| {
-            !matches!(pat, Term::Compound(f, args)
-                if *f == eq && args.len() == 2 && args[0].is_ground())
-        });
-        let all_pairs: Vec<(Term, Term)> = if needs_fallback {
+        let needs_fallback = pattern_terminations
+            .iter()
+            .any(|(fluent, _, _)| !terms.is_ground(*fluent));
+        let all_pairs: Vec<(TermId, TermId)> = if needs_fallback {
             candidates
                 .iter()
-                .flat_map(|(fluent, values)| {
-                    values.iter().map(move |v| (fluent.clone(), v.clone()))
-                })
+                .flat_map(|(fluent, values)| values.iter().map(move |v| (*fluent, *v)))
                 .collect()
         } else {
             Vec::new()
         };
-        for (pat, t) in &pattern_terminations {
-            let (pat_fluent, pat_value) = match pat {
-                Term::Compound(f, args) if *f == eq && args.len() == 2 => (&args[0], &args[1]),
-                _ => continue,
-            };
-            if pat_fluent.is_ground() {
-                let Some(values) = candidates.get(pat_fluent) else {
+        let mut bindings = Vec::new();
+        for &(pat_fluent, pat_value, t) in &pattern_terminations {
+            if terms.is_ground(pat_fluent) {
+                let Some(values) = candidates.get(&pat_fluent) else {
                     continue;
                 };
-                for value in values {
-                    let mut b = Bindings::new();
-                    if match_term(pat_value, value, &mut b) {
-                        add_termination(&mut points, pat_fluent, value, *t);
+                for &value in values {
+                    bindings.clear();
+                    if terms.match_id(pat_value, value, &mut bindings) {
+                        add_termination(&mut points, pat_fluent, value, t);
                     }
                 }
             } else {
-                for (fluent, value) in &all_pairs {
-                    let mut b = Bindings::new();
-                    if match_term(pat_fluent, fluent, &mut b)
-                        && match_term(pat_value, value, &mut b)
+                for &(fluent, value) in &all_pairs {
+                    bindings.clear();
+                    if terms.match_id(pat_fluent, fluent, &mut bindings)
+                        && terms.match_id(pat_value, value, &mut bindings)
                     {
-                        add_termination(&mut points, fluent, value, *t);
+                        add_termination(&mut points, fluent, value, t);
                     }
                 }
             }
@@ -203,21 +227,24 @@ pub fn finalize_simple_fluent(
 
     // 3. Build maximal intervals per ground fluent.
     for (fluent, sets) in points {
-        let open_values: Vec<(Term, Timepoint)> = inertia.get(&fluent).cloned().unwrap_or_default();
-        let mut new_open: Vec<(Term, Timepoint)> = Vec::new();
+        let (carried_term, open_values) = match open.remove(&fluent) {
+            Some((term, values)) => (Some(term), values),
+            None => (None, Vec::new()),
+        };
+        let mut new_open: Vec<(TermId, Timepoint)> = Vec::new();
 
         // Values to consider: those with rule firings plus carried ones.
-        let mut values: Vec<Term> = sets.by_value.iter().map(|(v, _)| v.clone()).collect();
+        let mut values: Vec<TermId> = sets.by_value.iter().map(|(v, _)| *v).collect();
         for (v, _) in &open_values {
             if !values.contains(v) {
-                values.push(v.clone());
+                values.push(*v);
             }
         }
 
         for value in values {
-            let (inits, terms) = sets.get(&value).cloned().unwrap_or_default();
+            let (inits, terms_at) = sets.get(value).cloned().unwrap_or_default();
             // Initiations of *other* values terminate this one.
-            let mut all_terms = terms;
+            let mut all_terms = terms_at;
             for (other_value, (other_inits, _)) in &sets.by_value {
                 if *other_value != value {
                     all_terms.extend_from_slice(other_inits);
@@ -229,21 +256,18 @@ pub fn finalize_simple_fluent(
                 .map(|(_, s)| *s);
             let (list, open) = make_intervals(carry, inits, all_terms);
             if let Some(start) = open {
-                new_open.push((value.clone(), start));
+                new_open.push((value, start));
             }
-            if !list.is_empty() {
-                let g = GroundFvp {
-                    fluent: fluent.clone(),
-                    value,
-                };
-                cache.insert(g, list);
-            }
+            cache.insert((fluent, value), list, terms);
         }
 
-        if new_open.is_empty() {
-            inertia.remove(&fluent);
-        } else {
-            inertia.insert(fluent, new_open);
+        if !new_open.is_empty() {
+            let fluent = carried_term.unwrap_or_else(|| terms.to_term(fluent));
+            let values = new_open
+                .into_iter()
+                .map(|(v, start)| (terms.to_term(v), start))
+                .collect();
+            inertia.insert(fluent, values);
         }
     }
 }

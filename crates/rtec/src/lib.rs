@@ -68,6 +68,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod arena;
 pub mod ast;
 pub mod background;
 pub mod checkpoint;
