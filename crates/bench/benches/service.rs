@@ -142,6 +142,59 @@ fn replay_with(
     n
 }
 
+/// The ingest layer on its own (ROADMAP aim 1): parse, route and hand
+/// each event to its shard. Untimed, the session opens, takes the
+/// interval declarations and the events before the first tick boundary
+/// of [`replay`], and ticks once, which pins their components to
+/// shards. Then the rest of the stream is ingested with no tick in
+/// between, and only that is timed. One final tick evaluates the
+/// stream and must have seen every event.
+/// [`replay`]'s first tick boundary (of 12), and the number of events
+/// before it.
+fn first_tick(w: &Workload) -> (i64, usize) {
+    let first_tick = (w.horizon / 12).max(1);
+    (
+        first_tick,
+        w.events.partition_point(|&(t, _)| t < first_tick),
+    )
+}
+
+fn ingest_only(w: &Workload, shards: usize) -> Duration {
+    let mut session = Session::open(
+        "bench",
+        &w.gold,
+        SessionConfig {
+            shards,
+            ..SessionConfig::default()
+        },
+    )
+    .expect("open");
+    for (fluent, value, pairs) in &w.intervals {
+        session
+            .ingest_intervals(fluent, value, pairs)
+            .expect("intervals");
+    }
+    let (first_tick, split) = first_tick(w);
+    for &(t, ref ev) in &w.events[..split] {
+        session.ingest_event(ev, t).expect("event");
+    }
+    session.tick(first_tick - 1).expect("first tick");
+    let start = Instant::now();
+    for &(t, ref ev) in &w.events[split..] {
+        session.ingest_event(ev, t).expect("event");
+    }
+    let ingesting = start.elapsed();
+    let report = session.tick(w.horizon).expect("final tick");
+    assert!(
+        report.engine.events_processed >= w.events.len(),
+        "the final tick saw {} of {} events",
+        report.engine.events_processed,
+        w.events.len()
+    );
+    session.close().expect("close");
+    ingesting
+}
+
 fn bench_service(c: &mut Criterion) {
     // Per-iteration session open/close info events would swamp the
     // bench output; keep only warnings (forget drops, backpressure).
@@ -158,6 +211,14 @@ fn bench_service(c: &mut Criterion) {
             |b, &shards| b.iter(|| black_box(replay(&w, shards, 12))),
         );
     }
+    let timed = w.events.len() - first_tick(&w).1;
+    group.throughput(Throughput::Elements(timed as u64));
+    group.bench_with_input(
+        BenchmarkId::new("ingest_maritime", 2usize),
+        &2usize,
+        |b, &shards| b.iter_custom(|iters| (0..iters).map(|_| ingest_only(&w, shards)).sum()),
+    );
+    group.throughput(Throughput::Elements(n_events));
     // The resilient-ingestion gate at slack=0 (a strict in-order check
     // in front of the router) must stay within a few percent of the
     // ungated replay above — compare the two series in CI.

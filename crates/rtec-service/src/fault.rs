@@ -42,8 +42,11 @@ pub enum IoFaultKind {
 pub struct WorkerPanic {
     /// Shard index the panic targets.
     pub shard: usize,
-    /// Fires when the shard has processed this many messages (1-based:
-    /// `step = 1` panics on the first message).
+    /// Fires when the shard has taken this many steps (1-based: `step =
+    /// 1` panics on the first message). An input batch of `n` items is
+    /// `n` steps and a control message one, so a schedule does not
+    /// depend on how items are batched; the panic fires before the
+    /// worker applies the message that reaches `step`.
     pub step: u64,
 }
 
@@ -152,7 +155,8 @@ mod active {
     /// The installed plan plus its monotonic fire-state.
     pub(super) struct FaultState {
         pub plan: FaultPlan,
-        /// Messages processed per shard (cumulative across restarts).
+        /// Steps (items) processed per shard (cumulative across
+        /// restarts).
         pub worker_steps: Vec<u64>,
         /// Which scheduled panics already fired.
         pub panics_fired: Vec<bool>,
@@ -274,11 +278,12 @@ pub fn last_injected() -> u64 {
     LAST_INJECTED.load(std::sync::atomic::Ordering::SeqCst)
 }
 
-/// Called by a shard worker before processing each message. May panic
-/// (the injected fault); the supervisor is expected to catch the dead
-/// worker and restore from checkpoint.
+/// Called by a shard worker before processing each message, with the
+/// number of items it carries (see `WorkerMsg::items`). May panic (the
+/// injected fault); the supervisor is expected to catch the dead worker
+/// and restore from checkpoint.
 #[inline]
-pub(crate) fn on_worker_step(shard: usize) {
+pub(crate) fn on_worker_step(shard: usize, items: u64) {
     #[cfg(feature = "testkit")]
     {
         let mut slot = active::ACTIVE.lock();
@@ -286,7 +291,7 @@ pub(crate) fn on_worker_step(shard: usize) {
         if shard >= state.worker_steps.len() {
             state.worker_steps.resize(shard + 1, 0);
         }
-        state.worker_steps[shard] += 1;
+        state.worker_steps[shard] += items;
         let step = state.worker_steps[shard];
         for i in 0..state.plan.worker_panics.len() {
             let p = state.plan.worker_panics[i];
@@ -409,6 +414,19 @@ mod tests {
             assert!(on_ingest().is_ok(), "op 1 passes");
             assert!(on_ingest().is_err(), "op 2 rejected");
             assert!(on_ingest().is_ok(), "op 3 passes: one-shot");
+        });
+        assert_eq!(injected, 1);
+    }
+
+    #[test]
+    fn worker_steps_count_items() {
+        let plan = FaultPlan::new().panic_worker(0, 70);
+        let ((), injected) = with_plan(plan, || {
+            on_worker_step(0, 64);
+            on_worker_step(1, 64);
+            let fired = std::panic::catch_unwind(|| on_worker_step(0, 64));
+            assert!(fired.is_err(), "step 70 lies inside the second batch");
+            on_worker_step(0, 64);
         });
         assert_eq!(injected, 1);
     }

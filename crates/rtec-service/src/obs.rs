@@ -63,7 +63,7 @@ pub struct ServiceMetrics {
     pub events_ingested: Arc<Counter>,
     /// Input-interval declarations accepted.
     pub intervals_ingested: Arc<Counter>,
-    /// Ingest operations that blocked on a full shard queue.
+    /// Items whose hand-off to a shard blocked on a full queue.
     pub backpressure_waits: Arc<Counter>,
     /// Ticks served across all sessions.
     pub ticks: Arc<Counter>,
@@ -138,7 +138,7 @@ impl ServiceMetrics {
             ),
             backpressure_waits: r.counter(
                 "rtec_service_backpressure_waits_total",
-                "Ingest operations that blocked on a full shard queue.",
+                "Items whose hand-off to a shard blocked on a full queue.",
                 &[],
             ),
             ticks: r.counter("rtec_service_ticks_total", "Ticks served.", &[]),

@@ -36,6 +36,7 @@ pub enum Route {
 }
 
 /// A buffered input item (kept in arrival order).
+#[derive(Clone)]
 pub enum PendingItem {
     /// An event at a time-point.
     Event(Term, Timepoint),

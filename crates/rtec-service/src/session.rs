@@ -7,8 +7,11 @@
 //! 1. **open** — compile the description and its evaluation plan once,
 //!    spawn `shards` workers sharing that plan;
 //! 2. **ingest** — events / input intervals are parsed against the
-//!    master table, routed by entity component, and pushed through each
-//!    shard's bounded queue (blocking, counted, when full);
+//!    master table, routed by entity component, and appended to the
+//!    shard's replay log. The log's unsent tail is the shard's outbox:
+//!    it goes through the shard's bounded queue as one batch once it
+//!    holds [`INPUT_BATCH`] items, and before any control message
+//!    (blocking, counted, when the queue is full);
 //! 3. **tick** — pin still-unpinned components, flush the buffer, and
 //!    drive every shard's `run_to(to)`; per-tick wall time feeds the
 //!    latency histogram;
@@ -24,13 +27,16 @@
 //!
 //! - after every successful tick it takes an [`EngineCheckpoint`] of
 //!   each shard and clears that shard's *replay log*;
-//! - every input sent to a shard is appended to the shard's replay log,
-//!   so the log always holds exactly the items the checkpoint has not
-//!   yet absorbed;
+//! - every input routed to a shard is appended to the shard's replay
+//!   log, so the log always holds exactly the items the checkpoint has
+//!   not yet absorbed: a sent head the worker has received, and an
+//!   unsent tail (the outbox) it has not;
 //! - when a send or a reply observes a dead worker, the shard is
 //!   respawned from its checkpoint (or fresh, before the first
-//!   checkpoint), the replay log is re-sent, and the original operation
-//!   is retried. Windows are re-evaluated deterministically, so output
+//!   checkpoint), the sent head of the replay log is re-sent, and the
+//!   original operation is retried. The unsent tail stays in the
+//!   outbox and goes out with the next batch, so no item is lost or
+//!   sent twice. Windows are re-evaluated deterministically, so output
 //!   after recovery is byte-identical to an uninterrupted run;
 //! - restarts are budgeted by [`SessionConfig::max_worker_restarts`];
 //!   when the budget is exhausted the session is **quarantined**: every
@@ -39,7 +45,7 @@
 
 use crate::flight::{FlightRecorder, TickTrace};
 use crate::router::{PendingItem, Route, Router, RouterSnapshot};
-use crate::worker::{ShardWorker, WorkerMsg};
+use crate::worker::{ShardWorker, WorkerMsg, INPUT_BATCH};
 use crossbeam::channel::bounded;
 use rtec::checkpoint::EngineCheckpoint;
 use rtec::description::CompiledDescription;
@@ -144,7 +150,9 @@ pub struct SessionStats {
     pub events_ingested: u64,
     /// Input-interval entries accepted.
     pub intervals_ingested: u64,
-    /// Ingest operations that blocked on a full shard queue.
+    /// Items whose hand-off to a shard blocked on a full queue: a
+    /// blocked input batch counts its length, a blocked control message
+    /// one (the unit of [`crate::worker::WorkerMsg::items`]).
     pub backpressure_waits: u64,
     /// Ticks served.
     pub ticks: u64,
@@ -152,7 +160,7 @@ pub struct SessionStats {
     pub processed_to: Timepoint,
     /// Tick wall-clock latency distribution.
     pub tick_latency: Histogram,
-    /// Per-shard queue-depth high-water marks since open.
+    /// Per-shard queue-depth high-water marks since open, in items.
     pub queue_high_water: Vec<u64>,
     /// Crashed shard workers respawned from checkpoint.
     pub worker_restarts: u64,
@@ -195,8 +203,11 @@ pub struct TickReport {
 struct ShardState {
     /// Engine image as of the last successful tick (None before it).
     checkpoint: Option<EngineCheckpoint>,
-    /// Inputs sent to the shard since the checkpoint was taken.
+    /// Inputs routed to the shard since the checkpoint was taken, in
+    /// arrival order. `replay[..sent]` has been handed to the worker;
+    /// the unsent tail is the shard's outbox.
     replay: Vec<PendingItem>,
+    sent: usize,
 }
 
 impl ShardState {
@@ -204,6 +215,7 @@ impl ShardState {
         ShardState {
             checkpoint: None,
             replay: Vec::new(),
+            sent: 0,
         }
     }
 }
@@ -655,28 +667,54 @@ impl Session {
         Ok(())
     }
 
-    /// Sends an input item to a shard and records it in the shard's
-    /// replay log (so a later crash can re-send it).
+    /// Appends an input item to a shard's replay log; the log's unsent
+    /// tail goes to the worker as one batch once it holds
+    /// [`INPUT_BATCH`] items. If that hand-off fails, this item is
+    /// refused (taken back off the log, so an ingest that reports an
+    /// error has no effect) and the rest of the tail stays in the
+    /// outbox.
     fn send_input(&mut self, shard: usize, item: PendingItem) -> Result<(), String> {
-        let msg = match &item {
-            PendingItem::Event(ev, t) => WorkerMsg::Event(ev.clone(), *t),
-            PendingItem::Intervals(fvp, list) => WorkerMsg::Intervals(fvp.clone(), list.clone()),
-        };
-        self.send(shard, msg)?;
-        self.shard_states[shard].replay.push(item);
+        let state = &mut self.shard_states[shard];
+        state.replay.push(item);
+        if state.replay.len() - state.sent >= INPUT_BATCH {
+            if let Err(err) = self.flush_outbox(shard) {
+                self.shard_states[shard].replay.pop();
+                return Err(err);
+            }
+        }
         Ok(())
+    }
+
+    /// Hands a shard's unsent inputs to its worker as one batch.
+    fn flush_outbox(&mut self, shard: usize) -> Result<(), String> {
+        let state = &self.shard_states[shard];
+        if state.sent == state.replay.len() {
+            return Ok(());
+        }
+        let batch = state.replay[state.sent..].to_vec();
+        self.send(shard, WorkerMsg::Input(batch))?;
+        let state = &mut self.shard_states[shard];
+        state.sent = state.replay.len();
+        Ok(())
+    }
+
+    /// Sends a control message behind the shard's unsent inputs.
+    fn send_control(&mut self, shard: usize, msg: WorkerMsg) -> Result<(), String> {
+        self.flush_outbox(shard)?;
+        self.send(shard, msg)
     }
 
     /// Sends a message, respawning the shard (bounded by the restart
     /// budget) and retrying if the worker is found dead.
     fn send(&mut self, shard: usize, msg: WorkerMsg) -> Result<(), String> {
         let mut msg = msg;
+        let items = msg.items() as u64;
         loop {
             match self.workers[shard].send(msg) {
                 Ok(blocked) => {
                     if blocked {
-                        self.stats.backpressure_waits += 1;
-                        crate::obs::metrics().backpressure_waits.inc();
+                        self.stats.backpressure_waits += items;
+                        crate::obs::metrics().backpressure_waits.add(items);
                     }
                     let depth = self.workers[shard].queue_len() as u64;
                     if depth > self.stats.queue_high_water[shard] {
@@ -694,8 +732,9 @@ impl Session {
 
     /// Replaces a dead shard worker: restores from the shard's last
     /// checkpoint (or starts fresh before the first one), re-sends the
-    /// replay log, and charges the restart budget. Quarantines the
-    /// session when the budget is exhausted.
+    /// part of the replay log its predecessor had received, and charges
+    /// the restart budget. Quarantines the session when the budget is
+    /// exhausted.
     fn respawn_shard(&mut self, shard: usize) -> Result<(), String> {
         self.check_live()?;
         if self.stats.worker_restarts >= self.config.max_worker_restarts as u64 {
@@ -726,14 +765,9 @@ impl Session {
         let jitter = respawn_jitter_ms(&self.name, shard, self.stats.worker_restarts);
         std::thread::sleep(Duration::from_millis(base + jitter));
         let worker = self.spawn_worker(shard);
-        for item in &self.shard_states[shard].replay {
-            let msg = match item {
-                PendingItem::Event(ev, t) => WorkerMsg::Event(ev.clone(), *t),
-                PendingItem::Intervals(fvp, list) => {
-                    WorkerMsg::Intervals(fvp.clone(), list.clone())
-                }
-            };
-            if worker.send(msg).is_err() {
+        let state = &self.shard_states[shard];
+        for batch in state.replay[..state.sent].chunks(INPUT_BATCH) {
+            if worker.send(WorkerMsg::Input(batch.to_vec())).is_err() {
                 // The replacement died too (e.g. its checkpoint failed
                 // to restore). Install it anyway; the next attempt will
                 // charge the budget again and eventually quarantine.
@@ -762,7 +796,7 @@ impl Session {
                 ("session", self.name.as_str().into()),
                 ("shard", shard.into()),
                 ("restarts", self.stats.worker_restarts.into()),
-                ("replayed", self.shard_states[shard].replay.len().into()),
+                ("replayed", self.shard_states[shard].sent.into()),
             ],
         );
         // Post-mortem context: what was the session doing in the ticks
@@ -787,7 +821,7 @@ impl Session {
     fn run_shard_to(&mut self, shard: usize, to: Timepoint) -> Result<EngineStats, String> {
         loop {
             let (tx, rx) = bounded(1);
-            self.send(shard, WorkerMsg::RunTo(to, tx))?;
+            self.send_control(shard, WorkerMsg::RunTo(to, tx))?;
             match self.workers[shard].recv_reply(&rx) {
                 Ok(stats) => return Ok(stats),
                 Err(_) => self.respawn_shard(shard)?,
@@ -821,7 +855,7 @@ impl Session {
         let mut replies = Vec::with_capacity(self.workers.len());
         for shard in 0..self.workers.len() {
             let (tx, rx) = bounded(1);
-            self.send(shard, WorkerMsg::RunTo(to, tx))?;
+            self.send_control(shard, WorkerMsg::RunTo(to, tx))?;
             replies.push(rx);
         }
         let mut total = EngineStats::default();
@@ -967,7 +1001,8 @@ impl Session {
     /// Takes a fresh checkpoint of every shard and clears the replay
     /// logs. Best-effort: a shard that fails keeps its previous
     /// checkpoint *and* replay log, which together still reproduce its
-    /// state.
+    /// state. Runs right after the tick's `RunTo`, which flushed every
+    /// outbox, so each log is wholly sent.
     fn refresh_checkpoints(&mut self) {
         for shard in 0..self.workers.len() {
             let (tx, rx) = bounded(1);
@@ -976,8 +1011,10 @@ impl Session {
             }
             match self.workers[shard].recv_reply(&rx) {
                 Ok(cp) => {
-                    self.shard_states[shard].checkpoint = Some(*cp);
-                    self.shard_states[shard].replay.clear();
+                    let state = &mut self.shard_states[shard];
+                    state.checkpoint = Some(*cp);
+                    state.replay.clear();
+                    state.sent = 0;
                 }
                 Err(_) => {
                     rtec_obs::warn(
@@ -999,7 +1036,7 @@ impl Session {
         let mut replies = Vec::with_capacity(self.workers.len());
         for shard in 0..self.workers.len() {
             let (tx, rx) = bounded(1);
-            self.send(shard, WorkerMsg::Snapshot(tx))?;
+            self.send_control(shard, WorkerMsg::Snapshot(tx))?;
             replies.push(rx);
         }
         let mut merged = RecognitionOutput::default();
@@ -1009,7 +1046,7 @@ impl Session {
                 Err(_) => {
                     self.respawn_shard(shard)?;
                     let (tx, rx) = bounded(1);
-                    self.send(shard, WorkerMsg::Snapshot(tx))?;
+                    self.send_control(shard, WorkerMsg::Snapshot(tx))?;
                     self.workers[shard].recv_reply(&rx).map(|(out, _)| out)?
                 }
             };
@@ -1078,7 +1115,9 @@ impl Session {
         self.reorder.as_ref().map(ReorderBuffer::snapshot)
     }
 
-    /// Total queued items across shard channels (approximate).
+    /// Total queued items across shard channels (approximate). Items
+    /// still in a shard's outbox, fewer than [`INPUT_BATCH`] per shard,
+    /// are not queued yet.
     pub fn queue_depth(&self) -> usize {
         self.workers.iter().map(ShardWorker::queue_len).sum()
     }
@@ -1111,7 +1150,8 @@ impl Session {
     }
 
     /// Drains every worker and returns final aggregate stats. Buffered
-    /// (never-ticked) items are flushed first so nothing is dropped.
+    /// (never-ticked) items and every outbox are flushed first so
+    /// nothing is dropped.
     /// Close is deliberately tolerant of dead workers — a quarantined
     /// session must still be closable — so shard failures degrade the
     /// final stats instead of failing the close.
@@ -1131,24 +1171,23 @@ impl Session {
                     }
                 }
             }
+            let lost = |session: &Session, shard: usize| {
+                rtec_obs::warn(
+                    "session.close_flush_lost",
+                    &[
+                        ("session", session.name.as_str().into()),
+                        ("shard", shard.into()),
+                    ],
+                )
+            };
             for (shard, item) in self.router.flush() {
-                let msg = match item {
-                    PendingItem::Event(ev, t) => WorkerMsg::Event(ev, t),
-                    PendingItem::Intervals(fvp, list) => WorkerMsg::Intervals(fvp, list),
-                };
-                match self.workers[shard].send(msg) {
-                    Ok(true) => {
-                        self.stats.backpressure_waits += 1;
-                        crate::obs::metrics().backpressure_waits.inc();
-                    }
-                    Ok(false) => {}
-                    Err(_) => rtec_obs::warn(
-                        "session.close_flush_lost",
-                        &[
-                            ("session", self.name.as_str().into()),
-                            ("shard", shard.into()),
-                        ],
-                    ),
+                if self.send_input(shard, item).is_err() {
+                    lost(&self, shard);
+                }
+            }
+            for shard in 0..self.workers.len() {
+                if self.flush_outbox(shard).is_err() {
+                    lost(&self, shard);
                 }
             }
         }
@@ -1327,6 +1366,36 @@ mod tests {
             let final_stats = s.close().unwrap();
             assert_eq!(final_stats.events_ingested, 12);
         }
+    }
+
+    #[test]
+    fn fewer_inputs_than_a_batch_reach_tick_query_and_close() {
+        let mut s = Session::open("t", DESC, SessionConfig::default()).unwrap();
+        s.ingest_intervals("near(v0, v1)", "true", &[(0, 200)])
+            .unwrap();
+        for i in 0..6 {
+            s.ingest_event(&format!("start(v{i})"), 10 + i).unwrap();
+            s.ingest_event(&format!("stop(v{i})"), 100 + i).unwrap();
+        }
+        let report = s.tick(300).unwrap();
+        assert_eq!(report.engine.events_processed, 12);
+        let (out, sym) = s.query().unwrap();
+        let rows = rendered(&out, &sym);
+        assert_eq!(rows.len(), 7, "{rows:?}");
+        assert!(
+            rows.contains(&"pair(v0, v1)=true=[[12, 101)]".to_string()),
+            "{rows:?}"
+        );
+        // After the tick the components are pinned, so these go
+        // straight to the outboxes. Each engine refuses what lies behind
+        // its frontier, so the refusals in close's stats show the
+        // unsent tails were handed over before the drain.
+        for i in 0..3 {
+            s.ingest_event(&format!("start(v{i})"), 50).unwrap();
+        }
+        let stats = s.close().unwrap();
+        assert_eq!(stats.engine.events_processed, 12);
+        assert_eq!(stats.engine.events_dropped, 3);
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! Shard workers: one OS thread per shard, owning one [`Engine`] for the
 //! lifetime of the session.
 //!
-//! Input items flow through a **bounded** crossbeam channel: when a
-//! shard's queue is full the session's ingest path blocks (after
-//! counting the stall — see `SessionStats::backpressure_waits`), which
-//! is the service's backpressure mechanism. Control messages (`RunTo`,
-//! `Snapshot`, `Checkpoint`, `Drain`) travel on the same channel, so a
-//! tick naturally observes every event enqueued before it.
+//! Input items flow through a **bounded** crossbeam channel in batches
+//! of up to [`INPUT_BATCH`] ([`WorkerMsg::Input`]): one message per
+//! batch rather than per event, so a stream does not pay a channel
+//! hand-off (and, on a busy CPU, a thread switch) for every item. The
+//! channel holds `capacity.div_ceil(INPUT_BATCH)` messages, so the
+//! queue still bounds the number of queued items. When a shard's queue
+//! is full the session's ingest path blocks (after counting the stall —
+//! see `SessionStats::backpressure_waits`), which is the service's
+//! backpressure mechanism. Control messages (`RunTo`, `Snapshot`,
+//! `Checkpoint`, `Profile`, `Drain`) travel on the same channel behind
+//! the batches, so a tick observes every item handed over before it.
 //!
 //! Event terms are already interned in the session's master symbol
 //! table. Worker engines keep their own (description-seeded) tables for
@@ -22,24 +27,26 @@
 //! engine from the session's last [`EngineCheckpoint`] — the panic never
 //! crosses into the server process.
 
+use crate::router::PendingItem;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use rtec::checkpoint::EngineCheckpoint;
 use rtec::description::CompiledDescription;
 use rtec::engine::{Engine, EngineConfig, EngineStats, RecognitionOutput};
-use rtec::interval::IntervalList;
-use rtec::term::GroundFvp;
-use rtec::{Term, Timepoint};
+use rtec::Timepoint;
 use rtec_obs::profile::ProfileAggregate;
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+/// Most input items one [`WorkerMsg::Input`] carries.
+pub const INPUT_BATCH: usize = 64;
+
 /// Message to a shard worker.
 pub enum WorkerMsg {
-    /// An input event (master-table term) at a time-point.
-    Event(Term, Timepoint),
-    /// Input-fluent intervals (master-table terms).
-    Intervals(GroundFvp, IntervalList),
+    /// Input items (master-table terms) in arrival order: events and
+    /// input-fluent intervals, at most [`INPUT_BATCH`] of them.
+    Input(Vec<PendingItem>),
     /// Evaluate windows up to the horizon; reply with engine stats.
     RunTo(Timepoint, Sender<EngineStats>),
     /// Reply with a copy of the accumulated output and current stats.
@@ -53,20 +60,36 @@ pub enum WorkerMsg {
     Drain(Sender<EngineStats>),
 }
 
+impl WorkerMsg {
+    /// How many queue items the message stands for: an `Input` batch
+    /// its length, a control message one. Queue depth, backpressure
+    /// waits and the fault schedule's worker steps count in this unit.
+    pub fn items(&self) -> usize {
+        match self {
+            WorkerMsg::Input(batch) => batch.len(),
+            _ => 1,
+        }
+    }
+}
+
 /// Handle to a shard worker thread.
 pub struct ShardWorker {
     sender: Sender<WorkerMsg>,
+    /// Items (see [`WorkerMsg::items`]) queued on the channel: added
+    /// before a send, taken off by the worker when it receives.
+    queued: Arc<AtomicUsize>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl ShardWorker {
-    /// Spawns the worker for `shard` over `desc` with a queue of
-    /// `capacity` items; with `profile`, its engine attributes per-rule
-    /// evaluation costs. With a `checkpoint` (taken from a crashed
-    /// predecessor at the last tick boundary, or persisted) the engine
-    /// resumes from it; if it does not match `desc`, the worker logs the
-    /// error and exits immediately, and the supervisor observes the
-    /// disconnected channel.
+    /// Spawns the worker for `shard` over `desc` with a queue of about
+    /// `capacity` items (`capacity.div_ceil(INPUT_BATCH)` messages);
+    /// with `profile`, its engine attributes per-rule evaluation costs.
+    /// With a `checkpoint` (taken from a crashed predecessor at the
+    /// last tick boundary, or persisted) the engine resumes from it; if
+    /// it does not match `desc`, the worker logs the error and exits
+    /// immediately, and the supervisor observes the disconnected
+    /// channel.
     pub fn spawn(
         desc: Arc<CompiledDescription>,
         config: EngineConfig,
@@ -75,7 +98,9 @@ impl ShardWorker {
         shard: usize,
         checkpoint: Option<EngineCheckpoint>,
     ) -> ShardWorker {
-        let (sender, receiver) = bounded(capacity.max(1));
+        let (sender, receiver) = bounded(capacity.div_ceil(INPUT_BATCH).max(1));
+        let queued = Arc::new(AtomicUsize::new(0));
+        let taken = Arc::clone(&queued);
         let handle = std::thread::spawn(move || {
             let mut engine = match checkpoint {
                 None => Engine::new(&desc, config),
@@ -96,10 +121,11 @@ impl ShardWorker {
             if profile {
                 engine.enable_profiler();
             }
-            run_worker(&mut engine, shard, &receiver);
+            run_worker(&mut engine, shard, &receiver, &taken);
         });
         ShardWorker {
             sender,
+            queued,
             handle: Some(handle),
         }
     }
@@ -109,18 +135,23 @@ impl ShardWorker {
     /// worker is dead the message is handed back so the supervisor can
     /// respawn the shard and retry the same message.
     pub fn send(&self, msg: WorkerMsg) -> Result<bool, WorkerMsg> {
-        match self.sender.try_send(msg) {
+        let items = msg.items();
+        self.queued.fetch_add(items, Ordering::Relaxed);
+        let sent = match self.sender.try_send(msg) {
             Ok(()) => Ok(false),
             Err(TrySendError::Full(msg)) => self.sender.send(msg).map(|()| true).map_err(|e| e.0),
             Err(TrySendError::Disconnected(msg)) => Err(msg),
+        };
+        if sent.is_err() {
+            self.queued.fetch_sub(items, Ordering::Relaxed);
         }
+        sent
     }
 
-    /// Current queue depth (approximate).
+    /// Current queue depth in items (approximate).
     pub fn queue_len(&self) -> usize {
-        self.sender.len()
+        self.queued.load(Ordering::Relaxed)
     }
-
     /// Whether the worker thread is still attached to its channel.
     pub fn is_alive(&self) -> bool {
         // A dead worker dropped its receiver; probing with try_send
@@ -166,13 +197,20 @@ impl ShardWorker {
     }
 }
 
-fn run_worker(engine: &mut Engine, shard: usize, receiver: &Receiver<WorkerMsg>) {
+fn run_worker(
+    engine: &mut Engine,
+    shard: usize,
+    receiver: &Receiver<WorkerMsg>,
+    queued: &AtomicUsize,
+) {
     while let Ok(msg) = receiver.recv() {
+        let items = msg.items();
+        queued.fetch_sub(items, Ordering::Relaxed);
         // Contain panics (bugs or injected faults) to this message: on
         // unwind the worker logs, drops its receiver, and exits; the
         // session sees the disconnect and respawns from checkpoint.
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            crate::fault::on_worker_step(shard);
+            crate::fault::on_worker_step(shard, items as u64);
             handle_msg(engine, msg)
         }));
         match outcome {
@@ -197,8 +235,14 @@ fn run_worker(engine: &mut Engine, shard: usize, receiver: &Receiver<WorkerMsg>)
 /// Handles one message; returns whether the worker should keep running.
 fn handle_msg(engine: &mut Engine, msg: WorkerMsg) -> bool {
     match msg {
-        WorkerMsg::Event(ev, t) => engine.add_event(ev, t),
-        WorkerMsg::Intervals(fvp, list) => engine.add_input_intervals(fvp, list),
+        WorkerMsg::Input(batch) => {
+            for item in batch {
+                match item {
+                    PendingItem::Event(ev, t) => engine.add_event(ev, t),
+                    PendingItem::Intervals(fvp, list) => engine.add_input_intervals(fvp, list),
+                }
+            }
+        }
         WorkerMsg::RunTo(horizon, reply) => {
             engine.run_to(horizon);
             let _ = reply.send(engine.stats());
@@ -228,6 +272,8 @@ fn handle_msg(engine: &mut Engine, msg: WorkerMsg) -> bool {
 mod tests {
     use super::*;
     use rtec::description::EventDescription;
+    use rtec::interval::IntervalList;
+    use rtec::term::GroundFvp;
 
     fn compiled() -> (Arc<CompiledDescription>, rtec::SymbolTable) {
         let desc = EventDescription::parse(
@@ -253,8 +299,8 @@ mod tests {
 
         let up = rtec::parser::parse_term("up(a)", &mut master).unwrap();
         let down = rtec::parser::parse_term("down(a)", &mut master).unwrap();
-        w.send(WorkerMsg::Event(up, 5)).ok().unwrap();
-        w.send(WorkerMsg::Event(down, 9)).ok().unwrap();
+        let batch = vec![PendingItem::Event(up, 5), PendingItem::Event(down, 9)];
+        w.send(WorkerMsg::Input(batch)).ok().unwrap();
         let (tx, rx) = bounded(1);
         w.send(WorkerMsg::RunTo(20, tx)).ok().unwrap();
         let stats = rx.recv().unwrap();
@@ -292,7 +338,9 @@ mod tests {
             None,
         );
         let up = rtec::parser::parse_term("up(a)", &mut master).unwrap();
-        w.send(WorkerMsg::Event(up, 5)).ok().unwrap();
+        w.send(WorkerMsg::Input(vec![PendingItem::Event(up, 5)]))
+            .ok()
+            .unwrap();
         let (tx, rx) = bounded(1);
         w.send(WorkerMsg::RunTo(20, tx)).ok().unwrap();
         rx.recv().unwrap();
@@ -312,7 +360,9 @@ mod tests {
 
         let up = rtec::parser::parse_term("up(a)", &mut master).unwrap();
         let down = rtec::parser::parse_term("down(a)", &mut master).unwrap();
-        w.send(WorkerMsg::Event(up, 5)).ok().unwrap();
+        w.send(WorkerMsg::Input(vec![PendingItem::Event(up, 5)]))
+            .ok()
+            .unwrap();
         let (tx, rx) = bounded(1);
         w.send(WorkerMsg::RunTo(10, tx)).ok().unwrap();
         rx.recv().unwrap();
@@ -322,7 +372,9 @@ mod tests {
         drop(w); // simulate the first worker dying
 
         let w2 = ShardWorker::spawn(Arc::clone(&compiled), config, false, 4, 0, Some(*cp));
-        w2.send(WorkerMsg::Event(down, 14)).ok().unwrap();
+        w2.send(WorkerMsg::Input(vec![PendingItem::Event(down, 14)]))
+            .ok()
+            .unwrap();
         let (tx, rx) = bounded(1);
         w2.send(WorkerMsg::RunTo(20, tx)).ok().unwrap();
         rx.recv().unwrap();
@@ -350,9 +402,59 @@ mod tests {
         assert!(!w.is_alive());
 
         let up = rtec::parser::parse_term("up(a)", &mut master).unwrap();
-        match w.send(WorkerMsg::Event(up, 1)) {
-            Err(WorkerMsg::Event(_, 1)) => {}
+        match w.send(WorkerMsg::Input(vec![PendingItem::Event(up, 1)])) {
+            Err(WorkerMsg::Input(batch)) => {
+                assert!(matches!(batch[..], [PendingItem::Event(_, 1)]));
+            }
             _ => panic!("expected the event handed back"),
         }
+        assert_eq!(w.queue_len(), 0, "a refused message leaves no queued items");
+    }
+
+    #[test]
+    fn input_batch_applies_events_and_intervals_in_order() {
+        let desc = EventDescription::parse(
+            "initiatedAt(on(X)=true, T) :- happensAt(up(X), T).
+             terminatedAt(on(X)=true, T) :- happensAt(down(X), T).
+             holdsFor(lit(X)=true, I) :-
+                 holdsFor(on(X)=true, I1), holdsFor(power(X)=true, I2),
+                 intersect_all([I1, I2], I).",
+        )
+        .unwrap();
+        let mut master = desc.symbols.clone();
+        let compiled = Arc::new(desc.compile().unwrap());
+        let w = ShardWorker::spawn(compiled, EngineConfig::default(), false, 4, 0, None);
+        let mut term = |src: &str| rtec::parser::parse_term(src, &mut master).unwrap();
+        let power = GroundFvp::new(term("power(a)"), term("true")).unwrap();
+        // A later declaration of the same input fluent replaces the
+        // earlier one, so only in-order application leaves [0, 12).
+        let batch = vec![
+            PendingItem::Event(term("up(a)"), 5),
+            PendingItem::Intervals(power.clone(), IntervalList::from_pairs(&[(0, 8)])),
+            PendingItem::Event(term("down(a)"), 20),
+            PendingItem::Intervals(power, IntervalList::from_pairs(&[(0, 12)])),
+        ];
+        assert_eq!(WorkerMsg::Input(batch.clone()).items(), 4);
+        w.send(WorkerMsg::Input(batch)).ok().unwrap();
+        let (tx, rx) = bounded(1);
+        w.send(WorkerMsg::RunTo(30, tx)).ok().unwrap();
+        assert_eq!(rx.recv().unwrap().events_processed, 2);
+        let (tx, rx) = bounded(1);
+        w.send(WorkerMsg::Snapshot(tx)).ok().unwrap();
+        let (out, _) = rx.recv().unwrap();
+        let mut rendered: Vec<String> = out
+            .iter()
+            .map(|(f, l)| format!("{}={}", f.display(&master), l))
+            .collect();
+        rendered.sort();
+        assert_eq!(
+            rendered,
+            vec![
+                "lit(a)=true=[[6, 12)]".to_string(),
+                "on(a)=true=[[6, 21)]".to_string(),
+            ]
+        );
+        assert_eq!(w.queue_len(), 0);
+        w.drain().unwrap();
     }
 }
