@@ -1,22 +1,25 @@
-//! Deterministic fault injection for the service (the `testkit`
-//! feature).
+//! Deterministic fault injection for the service.
 //!
 //! A [`FaultPlan`] is a seeded schedule of failures — shard-worker
 //! panics at chosen step counts, queue-full rejections on chosen ingest
-//! operations, and I/O faults (hard errors, torn writes, delayed
-//! writes) on chosen checkpoint writes. Production code calls the
-//! `on_*` hooks at its fault sites; without the `testkit` feature the
-//! hooks compile to no-ops and the plan machinery stays out of the
-//! binary. With the feature, `with_plan` installs a plan for the
-//! duration of a closure, so every failure mode is reproducible in CI
-//! from a single `u64` seed.
+//! operations, evaluation stalls on chosen ticks, and I/O faults (hard
+//! errors, torn writes, delayed writes) on chosen checkpoint and
+//! journal writes. [`Faults`] is a cloneable handle on one plan and
+//! its fire-state: production code calls the handle's `on_*` hooks at
+//! its fault sites, and the default handle is inert. A plan is
+//! installed by building a registry with
+//! [`crate::Registry::with_faults`], or by opening a session with
+//! [`crate::Session::open_with_faults`]; it fires only for what that
+//! handle reaches, so tests with different plans run concurrently, and
+//! every failure mode is reproducible from a single `u64` seed.
 //!
 //! Each scheduled fault fires **exactly once**: counters advance
 //! monotonically across worker restarts (a respawned worker does not
 //! re-trigger the panic that killed its predecessor), which is what
 //! makes recovery testable — inject, recover, converge.
 
-#![cfg_attr(not(feature = "testkit"), allow(unused_variables, dead_code))]
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// An I/O fault to apply to one checkpoint write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,7 +115,6 @@ impl FaultPlan {
     /// panics, ingest rejections, and I/O faults at pseudo-random
     /// steps. The same seed always yields the same plan — this is what
     /// the CI chaos job sweeps.
-    #[cfg(feature = "testkit")]
     pub fn random(seed: u64, shards: usize, approx_steps: u64) -> FaultPlan {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -147,238 +149,132 @@ impl FaultPlan {
     }
 }
 
-#[cfg(feature = "testkit")]
-mod active {
-    use super::{FaultPlan, IoFaultKind};
-    use parking_lot::Mutex;
+/// A handle on one fault plan and its fire-state, shared by clones.
+///
+/// A [`crate::Registry`] built with [`crate::Registry::with_faults`]
+/// holds one and passes clones to every session, shard worker, journal
+/// and checkpoint write it drives, so the plan fires for that registry
+/// alone. The default handle is inert: every hook is a `None` check,
+/// with no lock and no allocation.
+#[derive(Clone, Debug, Default)]
+pub struct Faults(Option<Arc<Mutex<FaultState>>>);
 
-    /// The installed plan plus its monotonic fire-state.
-    pub(super) struct FaultState {
-        pub plan: FaultPlan,
-        /// Steps (items) processed per shard (cumulative across
-        /// restarts).
-        pub worker_steps: Vec<u64>,
-        /// Which scheduled panics already fired.
-        pub panics_fired: Vec<bool>,
-        /// Ingest operations observed.
-        pub ingest_ops: u64,
-        /// Which scheduled rejections already fired.
-        pub rejects_fired: Vec<bool>,
-        /// Checkpoint writes observed.
-        pub writes: u64,
-        /// Which scheduled I/O faults already fired.
-        pub io_fired: Vec<bool>,
-        /// Ticks observed.
-        pub ticks: u64,
-        /// Which scheduled tick delays already fired.
-        pub tick_delays_fired: Vec<bool>,
-        /// Journal writes observed.
-        pub journal_writes: u64,
-        /// Which scheduled journal faults already fired.
-        pub journal_fired: Vec<bool>,
-        /// Total faults injected under this plan.
-        pub injected: u64,
+/// The faults still pending plus the counters they fire on. Counters
+/// are monotonic across worker restarts, and a fault is removed from
+/// `pending` when it fires, so each fires exactly once.
+#[derive(Debug, Default)]
+struct FaultState {
+    pending: FaultPlan,
+    /// Steps (items) processed per shard.
+    worker_steps: Vec<u64>,
+    ingest_ops: u64,
+    ticks: u64,
+    checkpoint_writes: u64,
+    journal_writes: u64,
+    /// Faults injected so far.
+    injected: u64,
+}
+
+/// Removes and returns the first scheduled entry that is due.
+fn take_due<T>(schedule: &mut Vec<T>, due: impl Fn(&T) -> bool) -> Option<T> {
+    let i = schedule.iter().position(due)?;
+    Some(schedule.remove(i))
+}
+
+impl Faults {
+    /// A live handle on `plan`.
+    pub fn new(plan: FaultPlan) -> Faults {
+        Faults(Some(Arc::new(Mutex::new(FaultState {
+            pending: plan,
+            ..FaultState::default()
+        }))))
     }
 
-    pub(super) static ACTIVE: Mutex<Option<FaultState>> = Mutex::new(None);
-
-    /// Serializes tests that install plans: process-global fault state
-    /// must not be shared by concurrently running `#[test]`s.
-    pub(super) static TEST_GUARD: Mutex<()> = Mutex::new(());
-
-    impl FaultState {
-        pub fn new(plan: FaultPlan) -> FaultState {
-            let n_panics = plan.worker_panics.len();
-            let n_rejects = plan.queue_rejects.len();
-            let n_io = plan.io_faults.len();
-            let n_ticks = plan.tick_delays.len();
-            let n_journal = plan.journal_faults.len();
-            FaultState {
-                plan,
-                worker_steps: Vec::new(),
-                panics_fired: vec![false; n_panics],
-                ingest_ops: 0,
-                rejects_fired: vec![false; n_rejects],
-                writes: 0,
-                io_fired: vec![false; n_io],
-                ticks: 0,
-                tick_delays_fired: vec![false; n_ticks],
-                journal_writes: 0,
-                journal_fired: vec![false; n_journal],
-                injected: 0,
-            }
-        }
+    /// How many faults this handle (and its clones) have injected.
+    pub fn injected(&self) -> u64 {
+        self.0.as_ref().map_or(0, |state| state.lock().injected)
     }
 
-    pub(super) fn record_injection(state: &mut FaultState) {
+    /// Advances the plan's state with `step`; counts the fault it
+    /// returns, if any. Inert handles return `None` without locking.
+    fn fire<R>(&self, step: impl FnOnce(&mut FaultState) -> Option<R>) -> Option<R> {
+        let mut state = self.0.as_ref()?.lock();
+        let fired = step(&mut state)?;
         state.injected += 1;
         crate::obs::metrics().faults_injected.inc();
+        Some(fired)
     }
 
-    pub(super) fn next_io_fault(state: &mut FaultState) -> Option<IoFaultKind> {
-        state.writes += 1;
-        let writes = state.writes;
-        for (i, &(at, kind)) in state.plan.io_faults.iter().enumerate() {
-            if !state.io_fired[i] && writes >= at {
-                state.io_fired[i] = true;
-                record_injection(state);
-                return Some(kind);
+    /// Called by a shard worker before processing each message, with
+    /// the number of items it carries (see `WorkerMsg::items`). May
+    /// panic (the injected fault); the supervisor is expected to catch
+    /// the dead worker and restore from checkpoint.
+    #[inline]
+    pub(crate) fn on_worker_step(&self, shard: usize, items: u64) {
+        let fired = self.fire(|state| {
+            if shard >= state.worker_steps.len() {
+                state.worker_steps.resize(shard + 1, 0);
             }
-        }
-        None
-    }
-
-    pub(super) fn next_journal_fault(state: &mut FaultState) -> Option<IoFaultKind> {
-        state.journal_writes += 1;
-        let writes = state.journal_writes;
-        for (i, &(at, kind)) in state.plan.journal_faults.iter().enumerate() {
-            if !state.journal_fired[i] && writes >= at {
-                state.journal_fired[i] = true;
-                record_injection(state);
-                return Some(kind);
-            }
-        }
-        None
-    }
-}
-
-/// Installs `plan`, runs `f`, clears the plan, and returns `f`'s result
-/// together with the number of faults actually injected. Holds a global
-/// guard so concurrent tests cannot interleave plans.
-#[cfg(feature = "testkit")]
-pub fn with_plan<T>(plan: FaultPlan, f: impl FnOnce() -> T) -> (T, u64) {
-    use std::sync::atomic::Ordering;
-    let _guard = active::TEST_GUARD.lock();
-    LAST_INJECTED.store(0, Ordering::SeqCst);
-    *active::ACTIVE.lock() = Some(active::FaultState::new(plan));
-    // Clear the plan even if `f` panics, so a failed test cannot leak
-    // fault state into the next one; capture the injection count on the
-    // way out.
-    struct Clear;
-    impl Drop for Clear {
-        fn drop(&mut self) {
-            if let Some(state) = active::ACTIVE.lock().take() {
-                LAST_INJECTED.store(state.injected, std::sync::atomic::Ordering::SeqCst);
-            }
+            state.worker_steps[shard] += items;
+            let step = state.worker_steps[shard];
+            take_due(&mut state.pending.worker_panics, |p| {
+                p.shard == shard && step >= p.step
+            })
+            .map(|_| (step, state.pending.seed))
+        });
+        if let Some((step, seed)) = fired {
+            panic!("injected fault: worker panic (shard {shard}, step {step}, seed {seed})");
         }
     }
-    let result = {
-        let _clear = Clear;
-        f()
-    };
-    (result, LAST_INJECTED.load(Ordering::SeqCst))
-}
 
-#[cfg(feature = "testkit")]
-static LAST_INJECTED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Faults injected by the most recently completed [`with_plan`] run.
-#[cfg(feature = "testkit")]
-pub fn last_injected() -> u64 {
-    LAST_INJECTED.load(std::sync::atomic::Ordering::SeqCst)
-}
-
-/// Called by a shard worker before processing each message, with the
-/// number of items it carries (see `WorkerMsg::items`). May panic (the
-/// injected fault); the supervisor is expected to catch the dead worker
-/// and restore from checkpoint.
-#[inline]
-pub(crate) fn on_worker_step(shard: usize, items: u64) {
-    #[cfg(feature = "testkit")]
-    {
-        let mut slot = active::ACTIVE.lock();
-        let Some(state) = slot.as_mut() else { return };
-        if shard >= state.worker_steps.len() {
-            state.worker_steps.resize(shard + 1, 0);
-        }
-        state.worker_steps[shard] += items;
-        let step = state.worker_steps[shard];
-        for i in 0..state.plan.worker_panics.len() {
-            let p = state.plan.worker_panics[i];
-            if !state.panics_fired[i] && p.shard == shard && step >= p.step {
-                state.panics_fired[i] = true;
-                active::record_injection(state);
-                let seed = state.plan.seed;
-                drop(slot);
-                panic!("injected fault: worker panic (shard {shard}, step {step}, seed {seed})");
-            }
-        }
-    }
-}
-
-/// Called by the session's ingest path. Returns `Err` when this ingest
-/// operation is scheduled to be rejected as queue-full.
-#[inline]
-pub(crate) fn on_ingest() -> Result<(), String> {
-    #[cfg(feature = "testkit")]
-    {
-        let mut slot = active::ACTIVE.lock();
-        if let Some(state) = slot.as_mut() {
+    /// Called by the session's ingest path. Returns `Err` when this
+    /// ingest operation is scheduled to be rejected as queue-full.
+    #[inline]
+    pub(crate) fn on_ingest(&self) -> Result<(), String> {
+        let fired = self.fire(|state| {
             state.ingest_ops += 1;
             let op = state.ingest_ops;
-            for i in 0..state.plan.queue_rejects.len() {
-                let at = state.plan.queue_rejects[i];
-                if !state.rejects_fired[i] && op >= at {
-                    state.rejects_fired[i] = true;
-                    active::record_injection(state);
-                    return Err("queue full (injected fault)".to_string());
-                }
-            }
-        }
+            take_due(&mut state.pending.queue_rejects, |&at| op >= at)
+        });
+        fired.map_or(Ok(()), |_| Err("queue full (injected fault)".to_string()))
     }
-    Ok(())
-}
 
-/// Called inside each session tick (after the start timestamp); returns
-/// the injected stall in milliseconds, if one is scheduled. The caller
-/// sleeps, so the stall lands inside the measured tick wall time.
-#[inline]
-pub(crate) fn on_tick() -> Option<u64> {
-    #[cfg(feature = "testkit")]
-    {
-        let mut slot = active::ACTIVE.lock();
-        if let Some(state) = slot.as_mut() {
+    /// Called inside each session tick (after the start timestamp);
+    /// returns the injected stall in milliseconds, if one is scheduled.
+    /// The caller sleeps, so the stall lands inside the measured tick
+    /// wall time.
+    #[inline]
+    pub(crate) fn on_tick(&self) -> Option<u64> {
+        self.fire(|state| {
             state.ticks += 1;
             let tick = state.ticks;
-            for i in 0..state.plan.tick_delays.len() {
-                let (at, millis) = state.plan.tick_delays[i];
-                if !state.tick_delays_fired[i] && tick >= at {
-                    state.tick_delays_fired[i] = true;
-                    active::record_injection(state);
-                    return Some(millis);
-                }
-            }
-        }
+            take_due(&mut state.pending.tick_delays, |&(at, _)| tick >= at)
+                .map(|(_, millis)| millis)
+        })
     }
-    None
-}
 
-/// Called before each checkpoint write; returns the I/O fault to apply,
-/// if one is scheduled for this write.
-#[inline]
-pub(crate) fn on_checkpoint_write() -> Option<IoFaultKind> {
-    #[cfg(feature = "testkit")]
-    {
-        let mut slot = active::ACTIVE.lock();
-        if let Some(state) = slot.as_mut() {
-            return active::next_io_fault(state);
-        }
+    /// Called before each checkpoint write; returns the I/O fault to
+    /// apply, if one is scheduled for this write.
+    #[inline]
+    pub(crate) fn on_checkpoint_write(&self) -> Option<IoFaultKind> {
+        self.fire(|state| {
+            state.checkpoint_writes += 1;
+            let writes = state.checkpoint_writes;
+            take_due(&mut state.pending.io_faults, |&(at, _)| writes >= at).map(|(_, kind)| kind)
+        })
     }
-    None
-}
 
-/// Called before each journal write (append commits and segment
-/// rotations); returns the I/O fault to apply, if one is scheduled.
-#[inline]
-pub(crate) fn on_journal_write() -> Option<IoFaultKind> {
-    #[cfg(feature = "testkit")]
-    {
-        let mut slot = active::ACTIVE.lock();
-        if let Some(state) = slot.as_mut() {
-            return active::next_journal_fault(state);
-        }
+    /// Called before each journal write (append commits and segment
+    /// rotations); returns the I/O fault to apply, if one is scheduled.
+    #[inline]
+    pub(crate) fn on_journal_write(&self) -> Option<IoFaultKind> {
+        self.fire(|state| {
+            state.journal_writes += 1;
+            let writes = state.journal_writes;
+            take_due(&mut state.pending.journal_faults, |&(at, _)| writes >= at)
+                .map(|(_, kind)| kind)
+        })
     }
-    None
 }
 
 /// Hook for delayed-write faults: sleeps the injected duration.
@@ -387,7 +283,7 @@ pub(crate) fn apply_delay(millis: u64) {
     std::thread::sleep(std::time::Duration::from_millis(millis));
 }
 
-#[cfg(all(test, feature = "testkit"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -409,46 +305,38 @@ mod tests {
 
     #[test]
     fn faults_fire_exactly_once() {
-        let plan = FaultPlan::new().reject_ingest(2);
-        let ((), injected) = with_plan(plan, || {
-            assert!(on_ingest().is_ok(), "op 1 passes");
-            assert!(on_ingest().is_err(), "op 2 rejected");
-            assert!(on_ingest().is_ok(), "op 3 passes: one-shot");
-        });
-        assert_eq!(injected, 1);
+        let faults = Faults::new(FaultPlan::new().reject_ingest(2));
+        assert!(faults.on_ingest().is_ok(), "op 1 passes");
+        assert!(faults.on_ingest().is_err(), "op 2 rejected");
+        assert!(faults.on_ingest().is_ok(), "op 3 passes: one-shot");
+        assert_eq!(faults.injected(), 1);
     }
 
     #[test]
     fn worker_steps_count_items() {
-        let plan = FaultPlan::new().panic_worker(0, 70);
-        let ((), injected) = with_plan(plan, || {
-            on_worker_step(0, 64);
-            on_worker_step(1, 64);
-            let fired = std::panic::catch_unwind(|| on_worker_step(0, 64));
-            assert!(fired.is_err(), "step 70 lies inside the second batch");
-            on_worker_step(0, 64);
-        });
-        assert_eq!(injected, 1);
+        let faults = Faults::new(FaultPlan::new().panic_worker(0, 70));
+        faults.on_worker_step(0, 64);
+        faults.on_worker_step(1, 64);
+        let fired = std::panic::catch_unwind(|| faults.on_worker_step(0, 64));
+        assert!(fired.is_err(), "step 70 lies inside the second batch");
+        faults.on_worker_step(0, 64);
+        assert_eq!(faults.injected(), 1);
     }
 
     #[test]
     fn tick_delays_fire_once_at_their_tick() {
-        let plan = FaultPlan::new().delay_tick(2, 25);
-        let ((), injected) = with_plan(plan, || {
-            assert_eq!(on_tick(), None, "tick 1 passes");
-            assert_eq!(on_tick(), Some(25), "tick 2 stalls");
-            assert_eq!(on_tick(), None, "tick 3 passes: one-shot");
-        });
-        assert_eq!(injected, 1);
+        let faults = Faults::new(FaultPlan::new().delay_tick(2, 25));
+        assert_eq!(faults.on_tick(), None, "tick 1 passes");
+        assert_eq!(faults.on_tick(), Some(25), "tick 2 stalls");
+        assert_eq!(faults.on_tick(), None, "tick 3 passes: one-shot");
+        assert_eq!(faults.injected(), 1);
     }
 
     #[test]
     fn io_faults_fire_at_their_write_index() {
-        let plan = FaultPlan::new().io_fault(2, IoFaultKind::Error);
-        let ((), _) = with_plan(plan, || {
-            assert_eq!(on_checkpoint_write(), None);
-            assert_eq!(on_checkpoint_write(), Some(IoFaultKind::Error));
-            assert_eq!(on_checkpoint_write(), None);
-        });
+        let faults = Faults::new(FaultPlan::new().io_fault(2, IoFaultKind::Error));
+        assert_eq!(faults.on_checkpoint_write(), None);
+        assert_eq!(faults.on_checkpoint_write(), Some(IoFaultKind::Error));
+        assert_eq!(faults.on_checkpoint_write(), None);
     }
 }

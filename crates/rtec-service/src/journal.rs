@@ -49,7 +49,7 @@
 //! Process-level failover (`SIGKILL`, the cluster front-end's domain)
 //! is safe under all three policies.
 
-use crate::fault;
+use crate::fault::{self, Faults};
 use crate::persist;
 use rtec::json::{fnv1a64, push_i64, push_quoted, push_seq, push_u64};
 use serde_json::Value;
@@ -374,6 +374,9 @@ pub struct Journal {
     pending: Vec<u8>,
     /// Reusable payload buffer for the per-event encode path.
     scratch: String,
+    /// Fault-injection handle for commits and rotations (inert unless
+    /// set with [`Journal::with_faults`]).
+    faults: Faults,
 }
 
 impl Journal {
@@ -383,23 +386,9 @@ impl Journal {
     pub fn create(dir: &Path, session: &str, policy: FsyncPolicy) -> Result<Journal, String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("journal dir {}: {e}", dir.display()))?;
         let path = journal_path(dir, session);
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| format!("journal create {}: {e}", path.display()))?;
+        File::create(&path).map_err(|e| format!("journal create {}: {e}", path.display()))?;
         persist::fsync_dir(dir)?;
-        Ok(Journal {
-            dir: dir.to_path_buf(),
-            session: session.to_string(),
-            file,
-            seq: 0,
-            policy,
-            last_sync: Instant::now(),
-            pending: Vec::new(),
-            scratch: String::new(),
-        })
+        Journal::reopen(dir, session, policy, 0)
     }
 
     /// Reopens an existing journal for appending, continuing its
@@ -426,7 +415,14 @@ impl Journal {
             last_sync: Instant::now(),
             pending: Vec::new(),
             scratch: String::new(),
+            faults: Faults::default(),
         })
+    }
+
+    /// Puts the journal's writes under a fault-injection handle.
+    pub(crate) fn with_faults(mut self, faults: Faults) -> Journal {
+        self.faults = faults;
+        self
     }
 
     /// The highest sequence number assigned so far.
@@ -479,7 +475,7 @@ impl Journal {
         if self.pending.is_empty() {
             return Ok(());
         }
-        match fault::on_journal_write() {
+        match self.faults.on_journal_write() {
             Some(fault::IoFaultKind::Error) => {
                 return Err("journal write failed (injected I/O error)".to_string());
             }
@@ -526,7 +522,7 @@ impl Journal {
     /// a crash in between merely leaves covered frames for recovery to
     /// skip by sequence number.
     pub fn rotate(&mut self, upto_seq: u64) -> Result<(), String> {
-        if let Some(kind) = fault::on_journal_write() {
+        if let Some(kind) = self.faults.on_journal_write() {
             match kind {
                 fault::IoFaultKind::Error => {
                     return Err("journal rotate failed (injected I/O error)".to_string());

@@ -33,7 +33,7 @@ pub mod session;
 pub mod worker;
 
 pub use client::{parse_stream_file, stream_file, Client, StreamFile, StreamOptions, StreamReport};
-pub use fault::{FaultPlan, IoFaultKind, WorkerPanic};
+pub use fault::{FaultPlan, Faults, IoFaultKind, WorkerPanic};
 pub use flight::{FlightRecorder, TickTrace};
 pub use journal::{FsyncPolicy, Journal};
 pub use registry::Registry;

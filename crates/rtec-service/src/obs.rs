@@ -77,7 +77,8 @@ pub struct ServiceMetrics {
     pub recognition_latency_release: Arc<Histogram>,
     /// Recognition rows returned by `query` commands.
     pub query_rows: Arc<Counter>,
-    /// Faults injected by the testkit fault harness (0 in production).
+    /// Faults injected by registries and sessions run under a fault
+    /// plan (0 without one).
     pub faults_injected: Arc<Counter>,
     /// Crashed shard workers respawned from checkpoint.
     pub worker_restarts: Arc<Counter>,
@@ -166,7 +167,7 @@ impl ServiceMetrics {
             ),
             faults_injected: r.counter(
                 "rtec_service_faults_injected_total",
-                "Faults injected by the testkit fault harness.",
+                "Faults injected by fault plans (0 unless a registry or session runs under one).",
                 &[],
             ),
             worker_restarts: r.counter(

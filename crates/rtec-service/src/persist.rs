@@ -22,7 +22,7 @@
 //! place, so the previous checkpoint survives any failure before the
 //! rename — including the injected I/O faults from [`crate::fault`].
 
-use crate::fault;
+use crate::fault::{self, Faults};
 use crate::router::RouterSnapshot;
 use crate::session::{Session, SessionConfig, SessionStats};
 use rtec::checkpoint::{
@@ -99,7 +99,12 @@ impl SessionCheckpoint {
 
     /// Rebuilds a live session from this checkpoint.
     pub fn restore(&self) -> Result<Session, String> {
-        let mut session = Session::reopen(
+        self.restore_with_faults(Faults::default())
+    }
+
+    /// [`SessionCheckpoint::restore`] under a fault-injection handle.
+    pub(crate) fn restore_with_faults(&self, faults: Faults) -> Result<Session, String> {
+        let mut session = Session::reopen_with_faults(
             self.name.clone(),
             &self.description_src,
             self.config,
@@ -107,6 +112,7 @@ impl SessionCheckpoint {
             &self.router,
             self.shards.clone(),
             self.stats.clone(),
+            faults,
         )?;
         session.restore_ingest(
             self.deadletter_counts,
@@ -439,12 +445,22 @@ pub fn checkpoint_path(dir: &Path, session: &str) -> PathBuf {
 /// the document goes to a temp file which is synced and renamed into
 /// place, then the directory itself is synced — so the previous
 /// checkpoint survives any mid-write failure and the rename survives a
-/// power cut. Injected I/O faults ([`crate::fault`]) surface here.
+/// power cut.
 pub fn save(dir: &Path, cp: &SessionCheckpoint) -> Result<PathBuf, String> {
+    save_with_faults(dir, cp, &Faults::default())
+}
+
+/// [`save`] under a fault-injection handle: the I/O fault it schedules
+/// for this write, if any, surfaces here.
+pub(crate) fn save_with_faults(
+    dir: &Path,
+    cp: &SessionCheckpoint,
+    faults: &Faults,
+) -> Result<PathBuf, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("checkpoint dir {}: {e}", dir.display()))?;
     let path = checkpoint_path(dir, &cp.name);
     let doc = cp.to_json();
-    match fault::on_checkpoint_write() {
+    match faults.on_checkpoint_write() {
         Some(fault::IoFaultKind::Error) => {
             return Err("checkpoint write failed (injected I/O error)".to_string());
         }

@@ -14,6 +14,7 @@
 //! session atomically and the `restore` command rebuilds a session from
 //! its last on-disk checkpoint.
 
+use crate::fault::{FaultPlan, Faults};
 use crate::journal::{self, FsyncPolicy, Journal, JournalRecord};
 use crate::persist::{self, SessionCheckpoint};
 use crate::protocol::{
@@ -53,6 +54,9 @@ pub struct Registry {
     /// Restores currently replaying a journal tail; `/readyz` reports
     /// not-ready until this drains back to zero.
     restores_in_flight: AtomicUsize,
+    /// Fault-injection handle passed to every session, journal and
+    /// checkpoint write of this registry (inert by default).
+    faults: Faults,
 }
 
 impl Registry {
@@ -82,6 +86,20 @@ impl Registry {
         self.journal_dir = dir;
         self.journal_fsync = fsync;
         self
+    }
+
+    /// Runs this registry under a fault plan: every session it opens or
+    /// restores, their shard workers, journals and checkpoint writes
+    /// fire the plan's faults, and nothing outside the registry does.
+    pub fn with_faults(mut self, plan: FaultPlan) -> Registry {
+        self.faults = Faults::new(plan);
+        self
+    }
+
+    /// This registry's fault-injection handle (inert unless built with
+    /// [`Registry::with_faults`]).
+    pub fn faults(&self) -> &Faults {
+        &self.faults
     }
 
     /// Whether `shutdown` has been requested.
@@ -224,14 +242,15 @@ impl Registry {
         if let Some(err) = front.parsed.parse_errors.first() {
             return Err(format!("description: {err}").into());
         }
-        let session = Session::open(name, front, config)?;
+        let session = Session::open_with_faults(name, front, config, self.faults.clone())?;
         // A fresh session starts a fresh journal whose first record is
         // the open request itself, so a crash before the first
         // checkpoint can still rebuild the session from the journal
         // alone. Journal failure fails the open: the caller asked for
         // durability it would not get.
         if let Some(dir) = &self.journal_dir {
-            let result = Journal::create(dir, name, self.journal_fsync).and_then(|mut j| {
+            let result = Journal::create(dir, name, self.journal_fsync).and_then(|j| {
+                let mut j = j.with_faults(self.faults.clone());
                 j.append_open(req);
                 j.commit()?;
                 Ok(j)
@@ -360,7 +379,7 @@ impl Registry {
             None => None,
         };
         let (mut session, start_seq) = match checkpoint {
-            Some(Ok(cp)) => (cp.restore()?, cp.journal_seq),
+            Some(Ok(cp)) => (cp.restore_with_faults(self.faults.clone())?, cp.journal_seq),
             other => {
                 // No (valid) checkpoint: fall back to the journal's
                 // open record, else surface the checkpoint error.
@@ -379,7 +398,9 @@ impl Registry {
                 };
                 let description = str_field(&open_req, "description")?.to_string();
                 let config = self.parse_open_config(&open_req)?;
-                (Session::open(name, &description, config)?, 0)
+                let session =
+                    Session::open_with_faults(name, &description, config, self.faults.clone())?;
+                (session, 0)
             }
         };
         // Replay the tail in file order, skipping records the
@@ -426,7 +447,8 @@ impl Registry {
                 .as_ref()
                 .and_then(|s| s.records.iter().map(JournalRecord::seq).max())
                 .unwrap_or(0);
-            let j = Journal::reopen(dir, name, self.journal_fsync, file_max.max(last_seq))?;
+            let j = Journal::reopen(dir, name, self.journal_fsync, file_max.max(last_seq))?
+                .with_faults(self.faults.clone());
             self.journals
                 .lock()
                 .insert(name.to_string(), Arc::new(Mutex::new(j)));
@@ -552,7 +574,7 @@ impl Registry {
         if let Some(dir) = &self.checkpoint_dir {
             checkpointed = Some(false);
             if let Some(image) = image {
-                match persist::save(dir, &image) {
+                match persist::save_with_faults(dir, &image, &self.faults) {
                     Ok(_) => {
                         checkpointed = Some(true);
                         // Rotate the journal only after the checkpoint

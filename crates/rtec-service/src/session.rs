@@ -43,6 +43,7 @@
 //!   command except `close` fails with a `quarantined` error, and other
 //!   sessions are unaffected.
 
+use crate::fault::Faults;
 use crate::flight::{FlightRecorder, TickTrace};
 use crate::router::{PendingItem, Route, Router, RouterSnapshot};
 use crate::worker::{ShardWorker, WorkerMsg, INPUT_BATCH};
@@ -264,6 +265,9 @@ pub struct Session {
     /// Like `arrival_stamps`, stamped when the event leaves the reorder
     /// buffer (or is routed directly) — the release stage.
     release_stamps: Vec<(Timepoint, Instant)>,
+    /// Fault-injection handle shared with the shard workers (inert
+    /// unless the session was opened with a plan).
+    faults: Faults,
 }
 
 /// Most engine shards a session may run: each shard is one OS thread,
@@ -292,15 +296,121 @@ impl Session {
         D: TryInto<FrontEnd>,
         D::Error: std::fmt::Display,
     {
+        Session::open_with_faults(name, description, config, Faults::default())
+    }
+
+    /// [`Session::open`] under a fault-injection handle: its ingests,
+    /// ticks and shard workers (respawns included) fire `faults`.
+    pub fn open_with_faults<D>(
+        name: impl Into<String>,
+        description: D,
+        config: SessionConfig,
+        faults: Faults,
+    ) -> Result<Session, String>
+    where
+        D: TryInto<FrontEnd>,
+        D::Error: std::fmt::Display,
+    {
         let front: FrontEnd = description
             .try_into()
             .map_err(|e| format!("description: {e}"))?;
+        let mut session = Session::unspawned(name.into(), front, config, faults)?;
+        session.spawn_workers();
+        Ok(session)
+    }
+
+    /// Rebuilds a session from persisted parts: the original description
+    /// source, a master symbol-name list, a router snapshot and one
+    /// engine checkpoint per shard. Opens the session with every shard
+    /// resumed from its checkpoint; the tick-latency histogram starts
+    /// fresh.
+    pub fn reopen(
+        name: impl Into<String>,
+        description_src: &str,
+        config: SessionConfig,
+        master_names: &[String],
+        router: &RouterSnapshot,
+        shard_checkpoints: Vec<EngineCheckpoint>,
+        stats: SessionStats,
+    ) -> Result<Session, String> {
+        Session::reopen_with_faults(
+            name,
+            description_src,
+            config,
+            master_names,
+            router,
+            shard_checkpoints,
+            stats,
+            Faults::default(),
+        )
+    }
+
+    /// [`Session::reopen`] under a fault-injection handle.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn reopen_with_faults(
+        name: impl Into<String>,
+        description_src: &str,
+        config: SessionConfig,
+        master_names: &[String],
+        router: &RouterSnapshot,
+        shard_checkpoints: Vec<EngineCheckpoint>,
+        stats: SessionStats,
+        faults: Faults,
+    ) -> Result<Session, String> {
+        // Everything that can refuse the checkpoint is checked before
+        // any worker spawns, so a refused restore spawns nothing.
+        let front = FrontEnd::try_from(description_src).map_err(|e| format!("description: {e}"))?;
+        if shard_checkpoints.len() != config.shards {
+            return Err(format!(
+                "checkpoint has {} shard(s), config wants {}",
+                shard_checkpoints.len(),
+                config.shards
+            ));
+        }
+        let mut master = SymbolTable::new();
+        for name in master_names {
+            master.intern(name);
+        }
+        if let Ok(compiled) = &front.compiled {
+            for (sym, name) in compiled.symbols.iter() {
+                if master.try_name(sym) != Some(name) {
+                    return Err("session checkpoint symbols do not extend the description".into());
+                }
+            }
+        }
+        let router = Router::restore(router)?;
+        let mut session = Session::unspawned(name.into(), front, config, faults)?;
+        session.master = master;
+        session.router = router;
+        session.stats = stats;
+        for (state, checkpoint) in session.shard_states.iter_mut().zip(shard_checkpoints) {
+            state.checkpoint = Some(checkpoint);
+        }
+        session.spawn_workers();
+        rtec_obs::info(
+            "session.reopen",
+            &[
+                ("session", session.name.as_str().into()),
+                ("shards", config.shards.into()),
+                ("processed_to", session.stats.processed_to.into()),
+            ],
+        );
+        Ok(session)
+    }
+
+    /// A session with no workers yet: the description compiled and the
+    /// config checked, the open counted and logged.
+    fn unspawned(
+        name: String,
+        front: FrontEnd,
+        config: SessionConfig,
+        faults: Faults,
+    ) -> Result<Session, String> {
         let desc = front.compiled.map_err(|e| format!("description: {e}"))?;
         let engine_config = engine_config_for(&config)?;
         if !(1..=MAX_SHARDS).contains(&config.shards) {
             return Err(format!("shards must be between 1 and {MAX_SHARDS}"));
         }
-        let name = name.into();
         crate::obs::metrics().sessions_opened.inc();
         rtec_obs::info(
             "session.open",
@@ -312,7 +422,7 @@ impl Session {
                 ("incremental", config.incremental.into()),
             ],
         );
-        let mut session = Session {
+        Ok(Session {
             name,
             master: desc.symbols.clone(),
             desc,
@@ -339,74 +449,15 @@ impl Session {
             flight: FlightRecorder::new(),
             arrival_stamps: Vec::new(),
             release_stamps: Vec::new(),
-        };
-        session.workers = (0..config.shards)
-            .map(|shard| session.spawn_worker(shard))
-            .collect();
-        Ok(session)
+            faults,
+        })
     }
 
-    /// Rebuilds a session from persisted parts: the original description
-    /// source, a master symbol-name list, a router snapshot and one
-    /// engine checkpoint per shard. Opens the session, then resumes every
-    /// shard from its checkpoint; the tick-latency histogram starts
-    /// fresh.
-    pub fn reopen(
-        name: impl Into<String>,
-        description_src: &str,
-        config: SessionConfig,
-        master_names: &[String],
-        router: &RouterSnapshot,
-        shard_checkpoints: Vec<EngineCheckpoint>,
-        stats: SessionStats,
-    ) -> Result<Session, String> {
-        // Everything that can refuse the checkpoint is checked before
-        // the session opens, so a refused restore spawns nothing.
-        let front = FrontEnd::try_from(description_src).map_err(|e| format!("description: {e}"))?;
-        if shard_checkpoints.len() != config.shards {
-            return Err(format!(
-                "checkpoint has {} shard(s), config wants {}",
-                shard_checkpoints.len(),
-                config.shards
-            ));
-        }
-        let mut master = SymbolTable::new();
-        for name in master_names {
-            master.intern(name);
-        }
-        if let Ok(compiled) = &front.compiled {
-            for (sym, name) in compiled.symbols.iter() {
-                if master.try_name(sym) != Some(name) {
-                    return Err("session checkpoint symbols do not extend the description".into());
-                }
-            }
-        }
-        let router = Router::restore(router)?;
-        let mut session = Session::open(name, front, config)?;
-        session.master = master;
-        session.router = router;
-        session.stats = stats;
-        // The fresh workers `open` spawned are joined before their
-        // replacements start, so no more shard threads are alive at once
-        // than the session has shards.
-        for fresh in std::mem::take(&mut session.workers) {
-            fresh.drain()?;
-        }
-        for (state, checkpoint) in session.shard_states.iter_mut().zip(shard_checkpoints) {
-            state.checkpoint = Some(checkpoint);
-        }
-        session.workers = (0..config.shards)
-            .map(|shard| session.spawn_worker(shard))
+    /// Spawns every shard's worker.
+    fn spawn_workers(&mut self) {
+        self.workers = (0..self.config.shards)
+            .map(|shard| self.spawn_worker(shard))
             .collect();
-        rtec_obs::info(
-            "session.reopen",
-            &[
-                ("session", session.name.as_str().into()),
-                ("shards", config.shards.into()),
-                ("processed_to", session.stats.processed_to.into()),
-            ],
-        );
-        Ok(session)
     }
 
     /// Spawns the worker of `shard`: resumed from the shard's checkpoint
@@ -419,6 +470,7 @@ impl Session {
             self.config.queue_capacity,
             shard,
             self.shard_states[shard].checkpoint.clone(),
+            self.faults.clone(),
         )
     }
 
@@ -518,7 +570,7 @@ impl Session {
     /// parse error, or an `overloaded: ...` admission-control shed).
     pub fn ingest_event(&mut self, term_src: &str, t: Timepoint) -> Result<Ingest, String> {
         self.check_live()?;
-        crate::fault::on_ingest()?;
+        self.faults.on_ingest()?;
         if let Some(budget) = self.config.max_events_per_tick {
             if self.events_since_tick >= budget {
                 self.shed(Some(t), term_src);
@@ -642,7 +694,7 @@ impl Session {
         pairs: &[(Timepoint, Timepoint)],
     ) -> Result<(), String> {
         self.check_live()?;
-        crate::fault::on_ingest()?;
+        self.faults.on_ingest()?;
         let fluent = rtec::parser::parse_term(fluent_src, &mut self.master)
             .map_err(|e| format!("fluent: {e}"))?;
         let value = rtec::parser::parse_term(value_src, &mut self.master)
@@ -760,7 +812,7 @@ impl Session {
         // The seeded jitter decorrelates respawn storms across sessions
         // and shards without any RNG state: the same (session, shard,
         // restart) triple always backs off by the same amount, so fault
-        // schedules stay reproducible under the testkit.
+        // schedules stay reproducible.
         let base = 2 * self.stats.worker_restarts.min(5);
         let jitter = respawn_jitter_ms(&self.name, shard, self.stats.worker_restarts);
         std::thread::sleep(Duration::from_millis(base + jitter));
@@ -836,9 +888,9 @@ impl Session {
     pub fn tick(&mut self, to: Timepoint) -> Result<TickReport, String> {
         self.check_live()?;
         let started = Instant::now();
-        // Injected evaluation stall (testkit): lands inside the measured
-        // tick wall time so slow-tick handling is testable.
-        if let Some(millis) = crate::fault::on_tick() {
+        // Injected evaluation stall: lands inside the measured tick wall
+        // time so slow-tick handling is testable.
+        if let Some(millis) = self.faults.on_tick() {
             crate::fault::apply_delay(millis);
         }
         // Force-release everything at or before the tick horizon:

@@ -27,6 +27,7 @@
 //! engine from the session's last [`EngineCheckpoint`] — the panic never
 //! crosses into the server process.
 
+use crate::fault::Faults;
 use crate::router::PendingItem;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use rtec::checkpoint::EngineCheckpoint;
@@ -89,7 +90,7 @@ impl ShardWorker {
     /// last tick boundary, or persisted) the engine resumes from it; if
     /// it does not match `desc`, the worker logs the error and exits
     /// immediately, and the supervisor observes the disconnected
-    /// channel.
+    /// channel. Each message first steps the `faults` schedule.
     pub fn spawn(
         desc: Arc<CompiledDescription>,
         config: EngineConfig,
@@ -97,6 +98,7 @@ impl ShardWorker {
         capacity: usize,
         shard: usize,
         checkpoint: Option<EngineCheckpoint>,
+        faults: Faults,
     ) -> ShardWorker {
         let (sender, receiver) = bounded(capacity.div_ceil(INPUT_BATCH).max(1));
         let queued = Arc::new(AtomicUsize::new(0));
@@ -121,7 +123,7 @@ impl ShardWorker {
             if profile {
                 engine.enable_profiler();
             }
-            run_worker(&mut engine, shard, &receiver, &taken);
+            run_worker(&mut engine, shard, &receiver, &taken, &faults);
         });
         ShardWorker {
             sender,
@@ -202,6 +204,7 @@ fn run_worker(
     shard: usize,
     receiver: &Receiver<WorkerMsg>,
     queued: &AtomicUsize,
+    faults: &Faults,
 ) {
     while let Ok(msg) = receiver.recv() {
         let items = msg.items();
@@ -210,7 +213,7 @@ fn run_worker(
         // unwind the worker logs, drops its receiver, and exits; the
         // session sees the disconnect and respawns from checkpoint.
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            crate::fault::on_worker_step(shard, items as u64);
+            faults.on_worker_step(shard, items as u64);
             handle_msg(engine, msg)
         }));
         match outcome {
@@ -295,6 +298,7 @@ mod tests {
             4,
             0,
             None,
+            Faults::default(),
         );
 
         let up = rtec::parser::parse_term("up(a)", &mut master).unwrap();
@@ -336,6 +340,7 @@ mod tests {
             4,
             0,
             None,
+            Faults::default(),
         );
         let up = rtec::parser::parse_term("up(a)", &mut master).unwrap();
         w.send(WorkerMsg::Input(vec![PendingItem::Event(up, 5)]))
@@ -356,7 +361,15 @@ mod tests {
     fn respawn_resumes_from_a_checkpoint() {
         let (compiled, mut master) = compiled();
         let config = EngineConfig::windowed(10);
-        let w = ShardWorker::spawn(Arc::clone(&compiled), config, false, 4, 0, None);
+        let w = ShardWorker::spawn(
+            Arc::clone(&compiled),
+            config,
+            false,
+            4,
+            0,
+            None,
+            Faults::default(),
+        );
 
         let up = rtec::parser::parse_term("up(a)", &mut master).unwrap();
         let down = rtec::parser::parse_term("down(a)", &mut master).unwrap();
@@ -371,7 +384,15 @@ mod tests {
         let cp = rx.recv().unwrap();
         drop(w); // simulate the first worker dying
 
-        let w2 = ShardWorker::spawn(Arc::clone(&compiled), config, false, 4, 0, Some(*cp));
+        let w2 = ShardWorker::spawn(
+            Arc::clone(&compiled),
+            config,
+            false,
+            4,
+            0,
+            Some(*cp),
+            Faults::default(),
+        );
         w2.send(WorkerMsg::Input(vec![PendingItem::Event(down, 14)]))
             .ok()
             .unwrap();
@@ -393,7 +414,15 @@ mod tests {
     fn dead_worker_hands_the_message_back() {
         let (compiled, mut master) = compiled();
         let opts = false;
-        let mut w = ShardWorker::spawn(compiled, EngineConfig::default(), opts, 4, 0, None);
+        let mut w = ShardWorker::spawn(
+            compiled,
+            EngineConfig::default(),
+            opts,
+            4,
+            0,
+            None,
+            Faults::default(),
+        );
         // Kill the worker via Drain and join so the receiver is dropped.
         let (tx, rx) = bounded(1);
         w.send(WorkerMsg::Drain(tx)).ok().unwrap();
@@ -423,7 +452,15 @@ mod tests {
         .unwrap();
         let mut master = desc.symbols.clone();
         let compiled = Arc::new(desc.compile().unwrap());
-        let w = ShardWorker::spawn(compiled, EngineConfig::default(), false, 4, 0, None);
+        let w = ShardWorker::spawn(
+            compiled,
+            EngineConfig::default(),
+            false,
+            4,
+            0,
+            None,
+            Faults::default(),
+        );
         let mut term = |src: &str| rtec::parser::parse_term(src, &mut master).unwrap();
         let power = GroundFvp::new(term("power(a)"), term("true")).unwrap();
         // A later declaration of the same input fluent replaces the

@@ -1,7 +1,7 @@
 //! Seeded chaos sweep: [`FaultPlan::random`] derives a schedule of
 //! worker panics, queue rejections, and checkpoint I/O faults from a
 //! single `u64` seed; the same scripted workload is then driven through
-//! a `Registry` under that plan. Whatever the plan does, the service
+//! a `Registry` built with that plan. Whatever the plan does, the service
 //! must either converge to the fault-free output (clients retry
 //! rejected frames once) or quarantine the session with structured
 //! errors — it must never panic and never return a malformed reply.
@@ -9,9 +9,6 @@
 //! The CI `chaos` job sweeps fixed seeds via `RTEC_CHAOS_SEED`, plus
 //! one random seed whose value is logged so failures reproduce.
 
-#![cfg(feature = "testkit")]
-
-use rtec_service::fault::with_plan;
 use rtec_service::{FaultPlan, Registry};
 use serde_json::Value;
 use std::path::PathBuf;
@@ -148,8 +145,9 @@ fn run_seed(seed: u64, reference: &Outcome) {
     let plan = FaultPlan::random(seed, 2, 150);
     eprintln!("chaos seed {seed}: plan {plan:?}");
 
-    let registry = Registry::with_options(Some(dir.clone()), None);
-    let (outcome, injected) = with_plan(plan, || run_workload(&registry, "chaos"));
+    let registry = Registry::with_options(Some(dir.clone()), None).with_faults(plan);
+    let outcome = run_workload(&registry, "chaos");
+    let injected = registry.faults().injected();
     eprintln!(
         "chaos seed {seed}: injected {injected} fault(s), {} error(s), quarantined={}",
         outcome.errors.len(),
@@ -196,7 +194,8 @@ fn run_seed(seed: u64, reference: &Outcome) {
 
 #[test]
 fn seeded_chaos_sweep_converges_or_quarantines() {
-    // The fault-free reference (no plan installed — hooks are inert).
+    // The fault-free reference (a registry without a plan — its hooks
+    // are inert).
     let reference = run_workload(&Registry::new(), "reference");
     assert_eq!(reference.tick_rows.len() as i64, TICKS);
     assert!(reference.errors.is_empty(), "{:?}", reference.errors);

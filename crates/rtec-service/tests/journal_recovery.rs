@@ -24,17 +24,6 @@ const DESC: &str = "initiatedAt(on(X)=true, T) :- happensAt(up(X), T).
 
 const TICK_EVERY: i64 = 50;
 
-/// The fault tests install a process-global plan (`fault::with_plan`),
-/// and a sibling test writing at the same time would consume its fault
-/// counters. Every test in this file holds this lock, so they run one at
-/// a time.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 fn temp_dirs(tag: &str) -> (PathBuf, PathBuf) {
     let base = std::env::temp_dir().join(format!("rtec-jrec-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
@@ -137,7 +126,6 @@ fn oracle_rows(ticks_fed: i64, final_to: i64) -> Vec<(String, String)> {
 
 #[test]
 fn cold_restore_replays_journal_tail_byte_identically() {
-    let _serial = serial();
     let (cp, jnl) = temp_dirs("tail");
     {
         let r = registry(&cp, &jnl);
@@ -166,7 +154,6 @@ fn cold_restore_replays_journal_tail_byte_identically() {
 
 #[test]
 fn restore_from_journal_alone_before_first_checkpoint() {
-    let _serial = serial();
     let (cp, jnl) = temp_dirs("nocp");
     {
         let r = registry(&cp, &jnl);
@@ -190,7 +177,6 @@ fn restore_from_journal_alone_before_first_checkpoint() {
 
 #[test]
 fn corrupted_tails_recover_the_newest_consistent_prefix() {
-    let _serial = serial();
     let (cp, jnl) = temp_dirs("corrupt");
     {
         let r = registry(&cp, &jnl);
@@ -264,7 +250,6 @@ fn corrupted_tails_recover_the_newest_consistent_prefix() {
 
 #[test]
 fn dead_letter_accounting_survives_cold_restore_exactly() {
-    let _serial = serial();
     let (cp, jnl) = temp_dirs("dl");
     let bad_feed = |r: &Registry, s: &str| {
         // A duplicate (dedup on), a malformed event, and — after the
@@ -313,7 +298,6 @@ fn dead_letter_accounting_survives_cold_restore_exactly() {
 
 #[test]
 fn close_keep_durable_retains_state_for_migration() {
-    let _serial = serial();
     let (cp, jnl) = temp_dirs("migrate");
     let r = registry(&cp, &jnl);
     dispatch_ok(&r, &open_line("s"));
@@ -341,27 +325,23 @@ fn close_keep_durable_retains_state_for_migration() {
     let _ = std::fs::remove_dir_all(cp.parent().unwrap());
 }
 
-#[cfg(feature = "testkit")]
 mod faults {
     use super::*;
-    use rtec_service::fault::with_plan;
     use rtec_service::{FaultPlan, IoFaultKind};
 
     #[test]
     fn torn_checkpoint_write_keeps_journal_coverage() {
-        let _serial = super::serial();
         let (cp, jnl) = temp_dirs("torncp");
         let plan = FaultPlan::new().io_fault(1, IoFaultKind::Torn { keep_bytes: 40 });
-        let _ = with_plan(plan, || {
-            let r = registry(&cp, &jnl);
-            dispatch_ok(&r, &open_line("s"));
-            feed_tick(&r, "s", 0);
-            // The checkpoint write tears mid-file: no rename happens and
-            // the journal must NOT rotate, so recovery still sees every
-            // acked event.
-            let v = tick(&r, "s", TICK_EVERY);
-            assert_eq!(v["checkpointed"], false, "{v:?}");
-        });
+        let r = registry(&cp, &jnl).with_faults(plan);
+        dispatch_ok(&r, &open_line("s"));
+        feed_tick(&r, "s", 0);
+        // The checkpoint write tears mid-file: no rename happens and the
+        // journal must NOT rotate, so recovery still sees every acked
+        // event.
+        let v = tick(&r, "s", TICK_EVERY);
+        assert_eq!(v["checkpointed"], false, "{v:?}");
+        drop(r);
 
         let r = registry(&cp, &jnl);
         let v = dispatch_ok(&r, r#"{"cmd":"restore","session":"s"}"#);
@@ -373,25 +353,23 @@ mod faults {
 
     #[test]
     fn journal_write_fault_fails_the_ack_not_the_session() {
-        let _serial = super::serial();
         let (cp, jnl) = temp_dirs("jfault");
         let plan = FaultPlan::new().journal_fault(2, IoFaultKind::Error);
-        let _ = with_plan(plan, || {
-            let r = registry(&cp, &jnl);
-            dispatch_ok(&r, &open_line("s"));
-            // First journaled write is the open record; the second (the
-            // event below) hits the injected error: the client sees a
-            // structured error instead of an ack.
-            let raw = r.dispatch(r#"{"cmd":"event","session":"s","t":5,"event":"up(a)"}"#);
-            let v: Value = serde_json::from_str(&raw).unwrap();
-            assert_eq!(v["ok"], false, "{raw}");
-            // The session survives and the next append succeeds (the
-            // pending frame is retried with the next commit).
-            dispatch_ok(&r, r#"{"cmd":"event","session":"s","t":6,"event":"up(b)"}"#);
-            tick(&r, "s", TICK_EVERY);
-            let rows = query_rows(&r, "s");
-            assert!(!rows.is_empty(), "session still recognises: {rows:?}");
-        });
+        let r = registry(&cp, &jnl).with_faults(plan);
+        dispatch_ok(&r, &open_line("s"));
+        // First journaled write is the open record; the second (the event
+        // below) hits the injected error: the client sees a structured
+        // error instead of an ack.
+        let raw = r.dispatch(r#"{"cmd":"event","session":"s","t":5,"event":"up(a)"}"#);
+        let v: Value = serde_json::from_str(&raw).unwrap();
+        assert_eq!(v["ok"], false, "{raw}");
+        // The session survives and the next append succeeds (the pending
+        // frame is retried with the next commit).
+        dispatch_ok(&r, r#"{"cmd":"event","session":"s","t":6,"event":"up(b)"}"#);
+        tick(&r, "s", TICK_EVERY);
+        let rows = query_rows(&r, "s");
+        assert!(!rows.is_empty(), "session still recognises: {rows:?}");
+        drop(r);
         let _ = std::fs::remove_dir_all(cp.parent().unwrap());
     }
 }

@@ -5,11 +5,8 @@
 //! any outbox goes out afterwards. No item may be lost or applied
 //! twice.
 
-#![cfg(feature = "testkit")]
-
 use rtec::{Engine, EngineConfig};
-use rtec_service::fault::with_plan;
-use rtec_service::{FaultPlan, Session, SessionConfig};
+use rtec_service::{FaultPlan, Faults, Session, SessionConfig};
 
 const DESC: &str = "initiatedAt(on(X)=true, T) :- happensAt(up(X), T).
                     terminatedAt(on(X)=true, T) :- happensAt(down(X), T).";
@@ -66,31 +63,28 @@ fn panic_inside_a_batch_loses_and_duplicates_nothing() {
     let reference_processed = engine.stats().events_processed;
     assert_eq!(reference_processed, 182);
 
-    let plan = FaultPlan::new().panic_worker(0, 100);
-    let ((got, processed, session), injected) = with_plan(plan, || {
-        let mut session = Session::open("outbox", DESC, SessionConfig::default()).unwrap();
-        for (t, ev) in &first {
-            session.ingest_event(ev, *t).unwrap();
-        }
-        session.tick(5).unwrap();
-        for (t, ev) in &batched {
-            session.ingest_event(ev, *t).unwrap();
-        }
-        // Give the poisoned worker time to die, so the next hand-off
-        // finds it dead with items still in its outbox.
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        for (t, ev) in &tail {
-            session.ingest_event(ev, *t).unwrap();
-        }
-        let report = session.tick(horizon).unwrap();
-        let (out, symbols) = session.query().unwrap();
-        (
-            rows(&out, &symbols),
-            report.engine.events_processed,
-            session,
-        )
-    });
-    assert_eq!(injected, 1, "the scheduled panic must fire");
+    let faults = Faults::new(FaultPlan::new().panic_worker(0, 100));
+    let mut session =
+        Session::open_with_faults("outbox", DESC, SessionConfig::default(), faults.clone())
+            .unwrap();
+    for (t, ev) in &first {
+        session.ingest_event(ev, *t).unwrap();
+    }
+    session.tick(5).unwrap();
+    for (t, ev) in &batched {
+        session.ingest_event(ev, *t).unwrap();
+    }
+    // Give the poisoned worker time to die, so the next hand-off finds
+    // it dead with items still in its outbox.
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    for (t, ev) in &tail {
+        session.ingest_event(ev, *t).unwrap();
+    }
+    let report = session.tick(horizon).unwrap();
+    let (out, symbols) = session.query().unwrap();
+    let got = rows(&out, &symbols);
+    let processed = report.engine.events_processed;
+    assert_eq!(faults.injected(), 1, "the scheduled panic must fire");
     assert_eq!(got, reference, "recovered output differs from batch");
     assert_eq!(
         processed, reference_processed,

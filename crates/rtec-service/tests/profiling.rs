@@ -5,8 +5,7 @@
 //! On top of that the
 //! `profile` wire command must report attributed rule costs, the
 //! Prometheus exposition must stay valid and bounded in cardinality,
-//! and (under `testkit`) a seeded slow tick must promote a
-//! flight-recorder dump.
+//! and a seeded slow tick must promote a flight-recorder dump.
 
 use rtec_service::Registry;
 use serde_json::Value;
@@ -18,17 +17,6 @@ const DESC: &str = "initiatedAt(on(X)=true, T) :- happensAt(up(X), T).
 
 const TICK_EVERY: i64 = 40;
 const TICKS: i64 = 4;
-
-/// The slow-tick test installs a process-global plan
-/// (`fault::with_plan`), and a sibling test ticking at the same time
-/// would consume its tick-delay counter. Every test in this file holds
-/// this lock, so they run one at a time.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn parse_reply(raw: &str) -> Value {
     let v: Value =
@@ -107,7 +95,6 @@ fn normalized_checkpoint(dir: &Path, session: &str) -> String {
 
 #[test]
 fn profiler_toggle_is_output_invariant() {
-    let _serial = serial();
     let mut runs = Vec::new();
     for profile in [true, false] {
         let dir = temp_dir(&format!("toggle-{profile}"));
@@ -127,7 +114,6 @@ fn profiler_toggle_is_output_invariant() {
 
 #[test]
 fn profile_command_reports_attributed_rule_costs() {
-    let _serial = serial();
     // A client that still sends the removed `eval` option is served
     // like any other: the field is ignored and the plan runs.
     for extra in ["", ",\"eval\":\"interpreter\""] {
@@ -161,7 +147,6 @@ fn profile_command_reports_attributed_rule_costs() {
 
 #[test]
 fn profile_disabled_session_reports_enabled_false() {
-    let _serial = serial();
     let registry = Registry::new();
     run_workload(&registry, "off", ",\"profile\":false");
     let v = parse_reply(&registry.dispatch("{\"cmd\":\"profile\",\"session\":\"off\"}"));
@@ -175,7 +160,6 @@ fn profile_disabled_session_reports_enabled_false() {
 
 #[test]
 fn profile_metrics_are_valid_and_bounded() {
-    let _serial = serial();
     let registry = Registry::new();
     run_workload(&registry, "metrics", "");
     let text = registry.render_metrics();
@@ -237,7 +221,6 @@ fn fluent_eval_count(text: &str, kind: &str) -> u64 {
 /// per-fluent histograms, simple and static alike.
 #[test]
 fn plan_sessions_feed_fluent_eval_metrics() {
-    let _serial = serial();
     let registry = Registry::new();
     let before = registry.render_metrics();
     run_workload(&registry, "fluent-eval", ",\"profile\":false");
@@ -252,18 +235,13 @@ fn plan_sessions_feed_fluent_eval_metrics() {
 
 /// A seeded tick stall crossing `slow_tick_ms` must promote the
 /// offending tick's trace into a retained flight-recorder dump.
-#[cfg(feature = "testkit")]
 #[test]
 fn seeded_slow_tick_promotes_a_flight_dump() {
-    let _serial = serial();
-    use rtec_service::fault::with_plan;
     use rtec_service::FaultPlan;
 
-    let registry = Registry::new();
-    let plan = FaultPlan::new().delay_tick(2, 30);
-    let (_, injected) = with_plan(plan, || {
-        run_workload(&registry, "slow", ",\"slow_tick_ms\":20")
-    });
+    let registry = Registry::new().with_faults(FaultPlan::new().delay_tick(2, 30));
+    run_workload(&registry, "slow", ",\"slow_tick_ms\":20");
+    let injected = registry.faults().injected();
     assert_eq!(injected, 1, "the tick delay must fire exactly once");
     let v = parse_reply(
         &registry.dispatch("{\"cmd\":\"profile\",\"session\":\"slow\",\"dumps\":true}"),

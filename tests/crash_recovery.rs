@@ -3,14 +3,13 @@
 //! checkpoint, replays the un-checkpointed items, and the final output
 //! is byte-identical to an uninterrupted batch engine run.
 //!
-//! Every test installs a fault plan via `fault::with_plan`, which holds
-//! a process-global guard — tests in this binary therefore serialize
-//! against each other, keeping the seeded schedules deterministic.
+//! Every test opens its session with its own [`Faults`] handle, so the
+//! seeded schedules stay deterministic while the tests run in parallel:
+//! a plan fires only for the session it was handed to.
 
 use maritime::{BrestScenario, Dataset};
 use rtec::{Engine, EngineConfig};
-use rtec_service::fault::with_plan;
-use rtec_service::{FaultPlan, Session, SessionConfig};
+use rtec_service::{FaultPlan, Faults, Session, SessionConfig};
 
 /// The gold description in concrete syntax (rules + this dataset's
 /// background knowledge), as a client would send it over the wire.
@@ -34,15 +33,17 @@ fn batch_rows(dataset: &Dataset, horizon: i64) -> Vec<(String, String)> {
     rows
 }
 
-/// Runs the full dataset through a session, ticking at `ticks` (the
-/// last entry must be the horizon), and returns the sorted output rows.
+/// Runs the full dataset through a session under `faults`, ticking at
+/// `ticks` (the last entry must be the horizon), and returns the sorted
+/// output rows.
 fn session_rows(
     dataset: &Dataset,
     config: SessionConfig,
     ticks: &[i64],
+    faults: &Faults,
 ) -> (Vec<(String, String)>, Session) {
     let gold = gold_source(dataset);
-    let mut session = Session::open("crash", &gold, config).unwrap();
+    let mut session = Session::open_with_faults("crash", &gold, config, faults.clone()).unwrap();
     let symbols = &dataset.stream.symbols;
     for (fvp, list) in dataset.stream.intervals() {
         let pairs: Vec<(i64, i64)> = list.iter().map(|iv| (iv.start, iv.end)).collect();
@@ -85,11 +86,9 @@ fn worker_panic_before_any_checkpoint_recovers_byte_identically() {
 
     // One tick only: the panic fires before any checkpoint exists, so
     // the supervisor restarts the shard fresh and replays everything.
-    let plan = FaultPlan::new().panic_worker(0, 10);
-    let ((rows, session), injected) = with_plan(plan, || {
-        session_rows(&dataset, SessionConfig::default(), &[horizon])
-    });
-    assert_eq!(injected, 1, "the scheduled panic must fire");
+    let faults = Faults::new(FaultPlan::new().panic_worker(0, 10));
+    let (rows, session) = session_rows(&dataset, SessionConfig::default(), &[horizon], &faults);
+    assert_eq!(faults.injected(), 1, "the scheduled panic must fire");
     assert_eq!(rows, reference, "recovered output differs from batch");
     assert_eq!(session.stats().worker_restarts, 1);
     assert!(session.quarantined().is_none());
@@ -108,15 +107,14 @@ fn worker_panic_mid_stream_restores_from_checkpoint() {
     let ticks: Vec<i64> = (1..=4).map(|i| i * horizon / 4).chain([horizon]).collect();
     for shards in [1, 2] {
         for step in [40u64, 200] {
-            let plan = FaultPlan::new().panic_worker(0, step);
+            let faults = Faults::new(FaultPlan::new().panic_worker(0, step));
             let config = SessionConfig {
                 window: Some(horizon / 4 + 1),
                 shards,
                 ..SessionConfig::default()
             };
-            let ((rows, session), injected) =
-                with_plan(plan, || session_rows(&dataset, config, &ticks));
-            assert_eq!(injected, 1, "shards={shards} step={step}");
+            let (rows, session) = session_rows(&dataset, config, &ticks, &faults);
+            assert_eq!(faults.injected(), 1, "shards={shards} step={step}");
             assert_eq!(
                 rows, reference,
                 "shards={shards} step={step}: output differs from batch"
@@ -137,10 +135,12 @@ fn repeated_panics_on_both_shards_still_converge() {
     let horizon = dataset.horizon() + 1;
     let reference = batch_rows(&dataset, horizon);
 
-    let plan = FaultPlan::new()
-        .panic_worker(0, 25)
-        .panic_worker(1, 60)
-        .panic_worker(0, 120);
+    let faults = Faults::new(
+        FaultPlan::new()
+            .panic_worker(0, 25)
+            .panic_worker(1, 60)
+            .panic_worker(0, 120),
+    );
     let config = SessionConfig {
         window: Some(horizon / 3 + 1),
         shards: 2,
@@ -148,8 +148,8 @@ fn repeated_panics_on_both_shards_still_converge() {
         ..SessionConfig::default()
     };
     let ticks: Vec<i64> = (1..=3).map(|i| i * horizon / 3).chain([horizon]).collect();
-    let ((rows, session), injected) = with_plan(plan, || session_rows(&dataset, config, &ticks));
-    assert_eq!(injected, 3, "all three panics must fire");
+    let (rows, session) = session_rows(&dataset, config, &ticks, &faults);
+    assert_eq!(faults.injected(), 3, "all three panics must fire");
     assert_eq!(rows, reference, "output differs from batch");
     assert!(session.stats().worker_restarts >= 3);
     assert!(session.quarantined().is_none());
@@ -162,48 +162,46 @@ fn exhausted_restart_budget_quarantines_the_session() {
     let horizon = dataset.horizon() + 1;
     let gold = gold_source(&dataset);
 
-    let plan = FaultPlan::new().panic_worker(0, 1).panic_worker(0, 2);
+    let faults = Faults::new(FaultPlan::new().panic_worker(0, 1).panic_worker(0, 2));
     let config = SessionConfig {
         max_worker_restarts: 1,
         ..SessionConfig::default()
     };
-    let ((), _injected) = with_plan(plan, || {
-        let mut session = Session::open("doomed", &gold, config).unwrap();
-        let symbols = &dataset.stream.symbols;
-        let mut events: Vec<_> = dataset.stream.events().to_vec();
-        events.sort_by_key(|&(_, t)| t);
-        let mut failed = None;
-        for (ev, t) in &events {
-            if let Err(e) = session.ingest_event(&ev.display(symbols).to_string(), *t) {
-                failed = Some(e);
-                break;
-            }
+    let mut session = Session::open_with_faults("doomed", &gold, config, faults).unwrap();
+    let symbols = &dataset.stream.symbols;
+    let mut events: Vec<_> = dataset.stream.events().to_vec();
+    events.sort_by_key(|&(_, t)| t);
+    let mut failed = None;
+    for (ev, t) in &events {
+        if let Err(e) = session.ingest_event(&ev.display(symbols).to_string(), *t) {
+            failed = Some(e);
+            break;
         }
-        let err = match failed {
-            Some(e) => e,
-            None => session.tick(horizon).unwrap_err(),
-        };
-        assert!(
-            err.contains("quarantined") || err.contains("shard worker"),
-            "unexpected error: {err}"
-        );
-        // The budget is charged per respawn attempt; keep driving the
-        // dead shard until the budget runs out and the session is
-        // quarantined for good.
-        for i in 0..4 {
-            if session.quarantined().is_some() {
-                break;
-            }
-            let _ = session.tick(horizon + i);
+    }
+    let err = match failed {
+        Some(e) => e,
+        None => session.tick(horizon).unwrap_err(),
+    };
+    assert!(
+        err.contains("quarantined") || err.contains("shard worker"),
+        "unexpected error: {err}"
+    );
+    // The budget is charged per respawn attempt; keep driving the dead
+    // shard until the budget runs out and the session is quarantined
+    // for good.
+    for i in 0..4 {
+        if session.quarantined().is_some() {
+            break;
         }
-        // Once quarantined, every entry point reports it and nothing
-        // panics; close() still returns the stats.
-        assert!(session.quarantined().is_some());
-        let err = session.ingest_event("ping(x)", horizon + 10).unwrap_err();
-        assert!(err.contains("quarantined"), "unexpected error: {err}");
-        assert!(session.tick(horizon + 11).is_err());
-        assert!(session.query().is_err());
-        let stats = session.close().unwrap();
-        assert!(stats.worker_restarts >= 1);
-    });
+        let _ = session.tick(horizon + i);
+    }
+    // Once quarantined, every entry point reports it and nothing
+    // panics; close() still returns the stats.
+    assert!(session.quarantined().is_some());
+    let err = session.ingest_event("ping(x)", horizon + 10).unwrap_err();
+    assert!(err.contains("quarantined"), "unexpected error: {err}");
+    assert!(session.tick(horizon + 11).is_err());
+    assert!(session.query().is_err());
+    let stats = session.close().unwrap();
+    assert!(stats.worker_restarts >= 1);
 }
