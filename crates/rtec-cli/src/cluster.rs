@@ -64,12 +64,8 @@ struct Ring {
 /// FNV-1a pushed through the SplitMix64 finalizer: FNV alone leaves
 /// structured keys (near-identical address strings) clustered on the
 /// circle; the finalizer spreads them uniformly.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+fn ring_hash(bytes: &[u8]) -> u64 {
+    let mut h = rtec::json::fnv1a64(bytes);
     h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     h ^ (h >> 31)
@@ -80,7 +76,7 @@ impl Ring {
         let mut points = Vec::with_capacity(backends.len() * vnodes);
         for (i, addr) in backends.iter().enumerate() {
             for v in 0..vnodes {
-                points.push((fnv1a64(format!("{addr}#{v}").as_bytes()), i));
+                points.push((ring_hash(format!("{addr}#{v}").as_bytes()), i));
             }
         }
         points.sort_unstable();
@@ -90,7 +86,7 @@ impl Ring {
     /// The ring owner for `session` among backends accepted by `ok`.
     /// Returns `None` when no backend qualifies.
     fn place(&self, session: &str, ok: impl Fn(usize) -> bool) -> Option<usize> {
-        let h = fnv1a64(session.as_bytes());
+        let h = ring_hash(session.as_bytes());
         let start = self.points.partition_point(|&(p, _)| p < h);
         (0..self.points.len())
             .map(|i| self.points[(start + i) % self.points.len()].1)
@@ -563,32 +559,23 @@ impl Cluster {
         Ok(())
     }
 
+    /// Serves one client connection with the server's framing (see
+    /// [`rtec_service::server::serve_lines`]): lines are capped at
+    /// [`rtec_service::MAX_FRAME`], and oversized or non-UTF-8 lines get
+    /// a `bad_frame` reply without ending the connection.
     fn handle_connection(&self, stream: TcpStream, local: SocketAddr) -> Result<(), String> {
         let reader = stream.try_clone().map_err(|e| e.to_string())?;
-        let mut reader = BufReader::new(reader);
-        let mut writer = BufWriter::new(stream);
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let n = reader.read_line(&mut line).map_err(|e| e.to_string())?;
-            if n == 0 {
-                return Ok(());
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let reply = self.dispatch(&line);
-            writer
-                .write_all(reply.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
-                .and_then(|()| writer.flush())
-                .map_err(|e| e.to_string())?;
-            if self.is_shutting_down() {
-                // Wake the accept loop so it observes the flag.
-                let _ = TcpStream::connect(local);
-                return Ok(());
-            }
+        rtec_service::server::serve_lines(
+            reader,
+            BufWriter::new(stream),
+            |line| self.dispatch(line),
+            || self.is_shutting_down(),
+        )?;
+        if self.is_shutting_down() {
+            // Wake the accept loop so it observes the flag.
+            let _ = TcpStream::connect(local);
         }
+        Ok(())
     }
 }
 
@@ -676,6 +663,15 @@ mod tests {
             hits.iter().all(|&h| h > 0),
             "every backend owns some sessions: {hits:?}"
         );
+        let pinned: Vec<usize> = (0..8)
+            .map(|s| ring.place(&format!("session-{s}"), |_| true).unwrap())
+            .collect();
+        assert_eq!(
+            pinned,
+            vec![0, 1, 3, 1, 1, 3, 0, 0],
+            "placements are pinned"
+        );
+        assert_eq!(ring_hash(b"127.0.0.1:7000#0"), 3_801_832_527_789_689_586);
     }
 
     #[test]
@@ -725,5 +721,45 @@ mod tests {
         let reply = cluster.dispatch("not json");
         let v: Value = serde_json::from_str(&reply).unwrap();
         assert_eq!(v["code"], "bad_frame");
+    }
+
+    #[test]
+    fn bad_frames_get_bad_frame_and_the_connection_carries_on() {
+        // No live backend: nothing listens on port 1.
+        let cluster = Cluster::new(&["127.0.0.1:1".to_string()], 8).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let local = listener.local_addr().unwrap();
+        let served = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            cluster.handle_connection(stream, local)
+        });
+        let mut client = TcpStream::connect(local).unwrap();
+        let mut replies = BufReader::new(client.try_clone().unwrap()).lines();
+        let mut oversized = vec![b'x'; rtec_service::MAX_FRAME + 16];
+        oversized.push(b'\n');
+        client.write_all(&oversized).unwrap();
+        client.write_all(b"{\"cmd\":\"\xff\xfe\"}\n").unwrap();
+        client
+            .write_all(b"{\"cmd\":\"cluster\",\"op\":\"stats\"}\n")
+            .unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut next =
+            || -> Value { serde_json::from_str(&replies.next().unwrap().unwrap()).unwrap() };
+        let too_long = next();
+        assert_eq!(too_long["code"], "bad_frame", "{too_long:?}");
+        assert!(
+            too_long["error"].as_str().unwrap().contains("1 MiB"),
+            "{too_long:?}"
+        );
+        let not_utf8 = next();
+        assert_eq!(not_utf8["code"], "bad_frame", "{not_utf8:?}");
+        assert!(
+            not_utf8["error"].as_str().unwrap().contains("UTF-8"),
+            "{not_utf8:?}"
+        );
+        let stats = next();
+        assert_eq!(stats["ok"], true, "{stats:?}");
+        assert_eq!(stats["backends"][0]["addr"], "127.0.0.1:1", "{stats:?}");
+        served.join().unwrap().unwrap();
     }
 }

@@ -126,8 +126,8 @@ mod tests {
     }
 
     /// A `SpanGuard` closes (pops the stack, records its histogram)
-    /// even when the scope unwinds via panic — the worker supervisor
-    /// relies on this so a panicked shard leaves no stale span frames.
+    /// even when the scope unwinds via panic — shard workers rely on
+    /// this so a panic they recover from leaves no stale span frames.
     #[test]
     fn span_guard_closes_under_unwinding() {
         let h = Arc::new(Histogram::new());

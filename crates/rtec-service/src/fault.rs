@@ -14,9 +14,10 @@
 //! every failure mode is reproducible from a single `u64` seed.
 //!
 //! Each scheduled fault fires **exactly once**: counters advance
-//! monotonically across worker restarts (a respawned worker does not
-//! re-trigger the panic that killed its predecessor), which is what
-//! makes recovery testable — inject, recover, converge.
+//! monotonically, and only messages that arrive on a worker's channel
+//! step it (a recovering worker's replay does not re-trigger the panic
+//! it recovers from), which is what makes recovery testable — inject,
+//! recover, converge.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -114,7 +115,7 @@ impl FaultPlan {
     /// Derives a randomized plan from a seed: a handful of worker
     /// panics, ingest rejections, and I/O faults at pseudo-random
     /// steps. The same seed always yields the same plan — this is what
-    /// the CI chaos job sweeps.
+    /// the chaos test sweeps.
     pub fn random(seed: u64, shards: usize, approx_steps: u64) -> FaultPlan {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -205,10 +206,10 @@ impl Faults {
         Some(fired)
     }
 
-    /// Called by a shard worker before processing each message, with
-    /// the number of items it carries (see `WorkerMsg::items`). May
-    /// panic (the injected fault); the supervisor is expected to catch
-    /// the dead worker and restore from checkpoint.
+    /// Called by a shard worker before handling each message that
+    /// arrives on its channel, with the number of items it carries (see
+    /// `WorkerMsg::items`). May panic (the injected fault); the worker
+    /// catches it and recovers in place.
     #[inline]
     pub(crate) fn on_worker_step(&self, shard: usize, items: u64) {
         let fired = self.fire(|state| {

@@ -12,7 +12,7 @@
 //! * a tick slower than [`crate::session::SessionConfig::slow_tick_ms`]
 //!   promotes *that tick's* trace (what was the session doing when it
 //!   was slow?);
-//! * a shard-worker respawn dumps the *whole ring* (what led up to the
+//! * a shard-worker restart dumps the *whole ring* (what led up to the
 //!   crash?).
 //!
 //! Dumps are JSON documents, logged through [`rtec_obs`] at warn level

@@ -80,7 +80,7 @@ pub struct ServiceMetrics {
     /// Faults injected by registries and sessions run under a fault
     /// plan (0 without one).
     pub faults_injected: Arc<Counter>,
-    /// Crashed shard workers respawned from checkpoint.
+    /// Shard workers recovered in place from a panic.
     pub worker_restarts: Arc<Counter>,
     /// Request frames answered with an error frame (malformed JSON,
     /// bad fields, oversized or non-UTF-8 lines, unknown commands…).
@@ -172,7 +172,7 @@ impl ServiceMetrics {
             ),
             worker_restarts: r.counter(
                 "rtec_service_worker_restarts_total",
-                "Crashed shard workers respawned from checkpoint.",
+                "Shard workers recovered in place from a panic.",
                 &[],
             ),
             frames_rejected: r.counter(

@@ -67,7 +67,8 @@ impl Registry {
 
     /// A registry with persistence and supervision options: sessions
     /// checkpoint to `checkpoint_dir` after every tick, and new sessions
-    /// default to `max_worker_restarts` respawns before quarantine.
+    /// default to `max_worker_restarts` worker restarts before
+    /// quarantine.
     pub fn with_options(
         checkpoint_dir: Option<PathBuf>,
         max_worker_restarts: Option<usize>,

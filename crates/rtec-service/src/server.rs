@@ -66,35 +66,43 @@ fn read_frame(reader: &mut impl BufRead) -> Result<Frame, String> {
     Ok(Frame::Line(buf))
 }
 
-/// Turns a raw frame into the response line to write, or `None` when the
-/// frame needs no reply (blank line). Counts rejected raw frames.
-fn respond_to_frame(registry: &Registry, frame: &Frame) -> Option<String> {
-    match frame {
-        Frame::Eof => None,
-        Frame::Oversized => {
-            crate::obs::metrics().frames_rejected.inc();
-            Some(error_frame(
-                codes::BAD_FRAME,
-                "malformed request: frame exceeds the 1 MiB limit",
-            ))
-        }
-        Frame::Line(bytes) => match std::str::from_utf8(bytes) {
-            Ok(text) => {
-                let trimmed = text.trim();
-                if trimmed.is_empty() {
-                    None
-                } else {
-                    Some(registry.dispatch(trimmed))
-                }
+/// Serves NDJSON request lines from `input` until end of input, or
+/// until `done()` holds after a reply. Each non-blank line (trimmed) is
+/// answered with `dispatch(line)`; a line over [`MAX_FRAME`] bytes or
+/// not valid UTF-8 draws a `bad_frame` error instead (counted in
+/// `frames_rejected`), and the connection carries on. The server and
+/// the cluster front-end both serve their connections with it.
+pub fn serve_lines(
+    input: impl Read,
+    mut output: impl Write,
+    mut dispatch: impl FnMut(&str) -> String,
+    done: impl Fn() -> bool,
+) -> Result<(), String> {
+    let mut reader = BufReader::new(input);
+    loop {
+        let line = match read_frame(&mut reader)? {
+            Frame::Eof => return Ok(()),
+            Frame::Oversized => Err("malformed request: frame exceeds the 1 MiB limit"),
+            Frame::Line(bytes) => {
+                String::from_utf8(bytes).map_err(|_| "malformed request: line is not valid UTF-8")
             }
-            Err(_) => {
+        };
+        let response = match line {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => dispatch(line.trim()),
+            Err(reason) => {
                 crate::obs::metrics().frames_rejected.inc();
-                Some(error_frame(
-                    codes::BAD_FRAME,
-                    "malformed request: line is not valid UTF-8",
-                ))
+                error_frame(codes::BAD_FRAME, reason)
             }
-        },
+        };
+        output
+            .write_all(response.as_bytes())
+            .and_then(|()| output.write_all(b"\n"))
+            .and_then(|()| output.flush())
+            .map_err(|e| e.to_string())?;
+        if done() {
+            return Ok(());
+        }
     }
 }
 
@@ -324,29 +332,19 @@ fn handle_connection(
     local: SocketAddr,
 ) -> Result<(), String> {
     let peer_read = stream.try_clone().map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(peer_read);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let frame = read_frame(&mut reader)?;
-        if matches!(frame, Frame::Eof) {
-            return Ok(());
-        }
-        let Some(response) = respond_to_frame(registry, &frame) else {
-            continue;
-        };
-        writer
-            .write_all(response.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .map_err(|e| e.to_string())?;
-        if registry.is_shutting_down() {
-            // Self-connect once so a blocked accept() wakes up and
-            // observes the shutdown flag. Best-effort: if it fails, the
-            // next real connection unblocks the loop instead.
-            let _ = TcpStream::connect(local);
-            return Ok(());
-        }
+    serve_lines(
+        peer_read,
+        BufWriter::new(stream),
+        |line| registry.dispatch(line),
+        || registry.is_shutting_down(),
+    )?;
+    if registry.is_shutting_down() {
+        // Self-connect once so a blocked accept() wakes up and
+        // observes the shutdown flag. Best-effort: if it fails, the
+        // next real connection unblocks the loop instead.
+        let _ = TcpStream::connect(local);
     }
+    Ok(())
 }
 
 /// Sends `shutdown` to a running server at `addr`. Used by the CLI
@@ -379,24 +377,14 @@ pub fn roundtrip(addr: &str, request_line: &str) -> Result<String, String> {
 pub fn serve_stdio(
     registry: &Registry,
     input: impl Read,
-    mut output: impl Write,
+    output: impl Write,
 ) -> Result<(), String> {
-    let mut reader = BufReader::new(input);
-    loop {
-        let frame = read_frame(&mut reader)?;
-        if matches!(frame, Frame::Eof) {
-            break;
-        }
-        let Some(response) = respond_to_frame(registry, &frame) else {
-            continue;
-        };
-        writeln!(output, "{response}").map_err(|e| e.to_string())?;
-        output.flush().map_err(|e| e.to_string())?;
-        if registry.is_shutting_down() {
-            break;
-        }
-    }
-    Ok(())
+    serve_lines(
+        input,
+        output,
+        |line| registry.dispatch(line),
+        || registry.is_shutting_down(),
+    )
 }
 
 #[cfg(test)]

@@ -8,13 +8,13 @@
 //!    spawn `shards` workers sharing that plan;
 //! 2. **ingest** — events / input intervals are parsed against the
 //!    master table, routed by entity component, and appended to the
-//!    shard's replay log. The log's unsent tail is the shard's outbox:
-//!    it goes through the shard's bounded queue as one batch once it
-//!    holds [`INPUT_BATCH`] items, and before any control message
-//!    (blocking, counted, when the queue is full);
+//!    shard's outbox. The outbox goes through the shard's bounded queue
+//!    as one batch once it holds [`INPUT_BATCH`] items, and before any
+//!    control message (blocking, counted, when the queue is full);
 //! 3. **tick** — pin still-unpinned components, flush the buffer, and
-//!    drive every shard's `run_to(to)`; per-tick wall time feeds the
-//!    latency histogram;
+//!    drive every shard's `run_to(to)`; each shard replies with its
+//!    stats and the checkpoint it took, and per-tick wall time feeds
+//!    the latency histogram;
 //! 4. **query** — snapshot every shard and merge with
 //!    [`RecognitionOutput::absorb`];
 //! 5. **close** — drain the workers (all queued items are processed, no
@@ -22,32 +22,21 @@
 //!
 //! # Crash recovery
 //!
-//! Shard workers can die (a panic in engine code, or an injected fault
-//! from [`crate::fault`]). The session supervises them:
-//!
-//! - after every successful tick it takes an [`EngineCheckpoint`] of
-//!   each shard and clears that shard's *replay log*;
-//! - every input routed to a shard is appended to the shard's replay
-//!   log, so the log always holds exactly the items the checkpoint has
-//!   not yet absorbed: a sent head the worker has received, and an
-//!   unsent tail (the outbox) it has not;
-//! - when a send or a reply observes a dead worker, the shard is
-//!   respawned from its checkpoint (or fresh, before the first
-//!   checkpoint), the sent head of the replay log is re-sent, and the
-//!   original operation is retried. The unsent tail stays in the
-//!   outbox and goes out with the next batch, so no item is lost or
-//!   sent twice. Windows are re-evaluated deterministically, so output
-//!   after recovery is byte-identical to an uninterrupted run;
-//! - restarts are budgeted by [`SessionConfig::max_worker_restarts`];
-//!   when the budget is exhausted the session is **quarantined**: every
-//!   command except `close` fails with a `quarantined` error, and other
-//!   sessions are unaffected.
+//! Shard workers recover from their own panics in place (see
+//! [`crate::worker`]): each keeps the checkpoint it took at its last
+//! `RunTo` plus a log of the inputs received since, and rebuilds its
+//! engine from them. The session only keeps the checkpoints' `Arc`s,
+//! to persist them, and the restart count its workers share, bounded by
+//! [`SessionConfig::max_worker_restarts`]. When a worker answers that
+//! the budget is spent, the session is **quarantined**: every command
+//! except `close` fails with a `quarantined` error, and other sessions
+//! are unaffected.
 
 use crate::fault::Faults;
 use crate::flight::{FlightRecorder, TickTrace};
 use crate::router::{PendingItem, Route, Router, RouterSnapshot};
-use crate::worker::{ShardWorker, WorkerMsg, INPUT_BATCH};
-use crossbeam::channel::bounded;
+use crate::worker::{recv_reply, ShardWorker, WorkerContext, WorkerMsg, INPUT_BATCH};
+use crossbeam::channel::{bounded, Receiver};
 use rtec::checkpoint::EngineCheckpoint;
 use rtec::description::CompiledDescription;
 use rtec::engine::{EngineConfig, EngineStats, RecognitionOutput};
@@ -59,6 +48,7 @@ use rtec::{SymbolTable, Timepoint};
 use rtec_obs::profile::ProfileAggregate;
 use rtec_obs::Histogram;
 use rtec_plan::FrontEnd;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -83,8 +73,8 @@ pub struct SessionConfig {
     pub shards: usize,
     /// Bounded per-shard queue capacity.
     pub queue_capacity: usize,
-    /// Crashed-worker respawns allowed before the session is
-    /// quarantined.
+    /// In-place shard-worker recoveries allowed, across all shards,
+    /// before the session is quarantined.
     pub max_worker_restarts: usize,
     /// Out-of-order tolerance, in timepoints. `Some(slack)` places a
     /// [`ReorderBuffer`] in front of the router: events may arrive up to
@@ -115,7 +105,7 @@ pub struct SessionConfig {
     /// feed `rtec_recognition_latency_us`. On by default — attribution
     /// is a couple of clock reads per stratum and never perturbs
     /// recognition output. Profiler state is process-local: it is not
-    /// checkpointed, and a respawned shard restarts attribution at zero.
+    /// checkpointed, and a recovered shard restarts attribution at zero.
     pub profile: bool,
     /// Slow-tick threshold in milliseconds: a profiled tick at least
     /// this slow promotes its flight-recorder trace to a retained JSON
@@ -163,7 +153,8 @@ pub struct SessionStats {
     pub tick_latency: Histogram,
     /// Per-shard queue-depth high-water marks since open, in items.
     pub queue_high_water: Vec<u64>,
-    /// Crashed shard workers respawned from checkpoint.
+    /// Shard-worker recoveries after a panic, as of the last tick,
+    /// query or close.
     pub worker_restarts: u64,
     /// Request frames addressed to this session answered with an error.
     pub frames_rejected: u64,
@@ -200,39 +191,24 @@ pub struct TickReport {
     pub shed: u64,
 }
 
-/// Per-shard recovery state.
-struct ShardState {
-    /// Engine image as of the last successful tick (None before it).
-    checkpoint: Option<EngineCheckpoint>,
-    /// Inputs routed to the shard since the checkpoint was taken, in
-    /// arrival order. `replay[..sent]` has been handed to the worker;
-    /// the unsent tail is the shard's outbox.
-    replay: Vec<PendingItem>,
-    sent: usize,
-}
-
-impl ShardState {
-    fn new() -> ShardState {
-        ShardState {
-            checkpoint: None,
-            replay: Vec::new(),
-            sent: 0,
-        }
-    }
-}
-
 /// A live recognition session.
 pub struct Session {
     name: String,
     /// The description, compiled with its evaluation plan when the
-    /// session opened (or was restored); every shard engine, respawns
-    /// included, runs that plan.
+    /// session opened (or was restored); every shard engine runs that
+    /// plan.
     desc: Arc<CompiledDescription>,
     /// Master symbol table: description symbols plus every constant seen
     /// on the stream, append-only. All routed terms are interned here.
     master: SymbolTable,
     workers: Vec<ShardWorker>,
-    shard_states: Vec<ShardState>,
+    /// Per shard, the inputs not yet handed to its worker.
+    outboxes: Vec<Vec<PendingItem>>,
+    /// Per shard, the engine checkpoint of the last tick (`None` before
+    /// it), shared with the worker that took it.
+    checkpoints: Vec<Option<Arc<EngineCheckpoint>>>,
+    /// Restarts made by the shard workers, which share the counter.
+    restarts: Arc<AtomicU64>,
     router: Router,
     partitioner: FirstArgPartitioner,
     stats: SessionStats,
@@ -300,7 +276,7 @@ impl Session {
     }
 
     /// [`Session::open`] under a fault-injection handle: its ingests,
-    /// ticks and shard workers (respawns included) fire `faults`.
+    /// ticks and shard workers fire `faults`.
     pub fn open_with_faults<D>(
         name: impl Into<String>,
         description: D,
@@ -315,7 +291,7 @@ impl Session {
             .try_into()
             .map_err(|e| format!("description: {e}"))?;
         let mut session = Session::unspawned(name.into(), front, config, faults)?;
-        session.spawn_workers();
+        session.spawn_workers(vec![None; config.shards]);
         Ok(session)
     }
 
@@ -383,10 +359,12 @@ impl Session {
         session.master = master;
         session.router = router;
         session.stats = stats;
-        for (state, checkpoint) in session.shard_states.iter_mut().zip(shard_checkpoints) {
-            state.checkpoint = Some(checkpoint);
-        }
-        session.spawn_workers();
+        session.spawn_workers(
+            shard_checkpoints
+                .into_iter()
+                .map(|cp| Some(Arc::new(cp)))
+                .collect(),
+        );
         rtec_obs::info(
             "session.reopen",
             &[
@@ -427,7 +405,9 @@ impl Session {
             master: desc.symbols.clone(),
             desc,
             workers: Vec::with_capacity(config.shards),
-            shard_states: (0..config.shards).map(|_| ShardState::new()).collect(),
+            outboxes: vec![Vec::new(); config.shards],
+            checkpoints: Vec::with_capacity(config.shards),
+            restarts: Arc::default(),
             router: Router::new(config.shards),
             partitioner: FirstArgPartitioner,
             stats: SessionStats {
@@ -453,25 +433,27 @@ impl Session {
         })
     }
 
-    /// Spawns every shard's worker.
-    fn spawn_workers(&mut self) {
-        self.workers = (0..self.config.shards)
-            .map(|shard| self.spawn_worker(shard))
+    /// Spawns every shard's worker, each resumed from its checkpoint
+    /// when it has one; the restart count carries on from the session's.
+    /// The only place workers are spawned.
+    fn spawn_workers(&mut self, checkpoints: Vec<Option<Arc<EngineCheckpoint>>>) {
+        self.restarts = Arc::new(AtomicU64::new(self.stats.worker_restarts));
+        let ctx = WorkerContext {
+            session: self.name.as_str().into(),
+            desc: Arc::clone(&self.desc),
+            config: self.engine_config,
+            profile: self.config.profile,
+            capacity: self.config.queue_capacity,
+            restarts: Arc::clone(&self.restarts),
+            max_restarts: self.config.max_worker_restarts as u64,
+            faults: self.faults.clone(),
+        };
+        self.workers = checkpoints
+            .iter()
+            .enumerate()
+            .map(|(shard, cp)| ShardWorker::spawn(ctx.clone(), shard, cp.clone()))
             .collect();
-    }
-
-    /// Spawns the worker of `shard`: resumed from the shard's checkpoint
-    /// when it has one, fresh otherwise.
-    fn spawn_worker(&self, shard: usize) -> ShardWorker {
-        ShardWorker::spawn(
-            Arc::clone(&self.desc),
-            self.engine_config,
-            self.config.profile,
-            self.config.queue_capacity,
-            shard,
-            self.shard_states[shard].checkpoint.clone(),
-            self.faults.clone(),
-        )
+        self.checkpoints = checkpoints;
     }
 
     /// Restores ingestion-layer state captured alongside the shard
@@ -525,10 +507,7 @@ impl Session {
     /// Per-shard engine checkpoints as of the last tick; `None` until
     /// every shard has one (i.e. before the first successful tick).
     pub fn shard_checkpoints(&self) -> Option<Vec<&EngineCheckpoint>> {
-        self.shard_states
-            .iter()
-            .map(|s| s.checkpoint.as_ref())
-            .collect()
+        self.checkpoints.iter().map(Option::as_deref).collect()
     }
 
     /// Why the session is quarantined, if it is.
@@ -719,141 +698,83 @@ impl Session {
         Ok(())
     }
 
-    /// Appends an input item to a shard's replay log; the log's unsent
-    /// tail goes to the worker as one batch once it holds
-    /// [`INPUT_BATCH`] items. If that hand-off fails, this item is
-    /// refused (taken back off the log, so an ingest that reports an
-    /// error has no effect) and the rest of the tail stays in the
-    /// outbox.
+    /// Appends an input item to a shard's outbox; the outbox goes to
+    /// the worker as one batch once it holds [`INPUT_BATCH`] items.
     fn send_input(&mut self, shard: usize, item: PendingItem) -> Result<(), String> {
-        let state = &mut self.shard_states[shard];
-        state.replay.push(item);
-        if state.replay.len() - state.sent >= INPUT_BATCH {
-            if let Err(err) = self.flush_outbox(shard) {
-                self.shard_states[shard].replay.pop();
-                return Err(err);
-            }
+        self.outboxes[shard].push(item);
+        if self.outboxes[shard].len() >= INPUT_BATCH {
+            self.flush_outbox(shard)?;
         }
         Ok(())
     }
 
-    /// Hands a shard's unsent inputs to its worker as one batch.
+    /// Hands a shard's outbox to its worker as one batch.
     fn flush_outbox(&mut self, shard: usize) -> Result<(), String> {
-        let state = &self.shard_states[shard];
-        if state.sent == state.replay.len() {
+        if self.outboxes[shard].is_empty() {
             return Ok(());
         }
-        let batch = state.replay[state.sent..].to_vec();
-        self.send(shard, WorkerMsg::Input(batch))?;
-        let state = &mut self.shard_states[shard];
-        state.sent = state.replay.len();
-        Ok(())
+        let batch = std::mem::replace(&mut self.outboxes[shard], Vec::with_capacity(INPUT_BATCH));
+        self.send(shard, WorkerMsg::Input(batch))
     }
 
-    /// Sends a control message behind the shard's unsent inputs.
+    /// Sends a control message behind the shard's outbox.
     fn send_control(&mut self, shard: usize, msg: WorkerMsg) -> Result<(), String> {
         self.flush_outbox(shard)?;
         self.send(shard, msg)
     }
 
-    /// Sends a message, respawning the shard (bounded by the restart
-    /// budget) and retrying if the worker is found dead.
+    /// Sends a message, counting backpressure and the queue high-water
+    /// mark.
     fn send(&mut self, shard: usize, msg: WorkerMsg) -> Result<(), String> {
-        let mut msg = msg;
         let items = msg.items() as u64;
-        loop {
-            match self.workers[shard].send(msg) {
-                Ok(blocked) => {
-                    if blocked {
-                        self.stats.backpressure_waits += items;
-                        crate::obs::metrics().backpressure_waits.add(items);
-                    }
-                    let depth = self.workers[shard].queue_len() as u64;
-                    if depth > self.stats.queue_high_water[shard] {
-                        self.stats.queue_high_water[shard] = depth;
-                    }
-                    return Ok(());
-                }
-                Err(back) => {
-                    msg = back;
-                    self.respawn_shard(shard)?;
-                }
-            }
+        let blocked = self.workers[shard]
+            .send(msg)
+            .map_err(|reason| self.quarantine(shard, reason))?;
+        if blocked {
+            self.stats.backpressure_waits += items;
+            crate::obs::metrics().backpressure_waits.add(items);
         }
+        let depth = self.workers[shard].queue_len() as u64;
+        if depth > self.stats.queue_high_water[shard] {
+            self.stats.queue_high_water[shard] = depth;
+        }
+        Ok(())
     }
 
-    /// Replaces a dead shard worker: restores from the shard's last
-    /// checkpoint (or starts fresh before the first one), re-sends the
-    /// part of the replay log its predecessor had received, and charges
-    /// the restart budget. Quarantines the session when the budget is
-    /// exhausted.
-    fn respawn_shard(&mut self, shard: usize) -> Result<(), String> {
-        self.check_live()?;
-        if self.stats.worker_restarts >= self.config.max_worker_restarts as u64 {
-            let reason = format!(
-                "restart budget exhausted ({} restarts) at shard {shard}",
-                self.config.max_worker_restarts
-            );
-            self.quarantined = Some(reason.clone());
+    /// Receives a shard's answer; a failed shard quarantines the
+    /// session.
+    fn reply<T>(&mut self, shard: usize, rx: &Receiver<Result<T, String>>) -> Result<T, String> {
+        recv_reply(rx).map_err(|reason| self.quarantine(shard, reason))
+    }
+
+    /// Quarantines the session over a failed shard (the first reason
+    /// sticks); returns the error every later command reports.
+    fn quarantine(&mut self, shard: usize, reason: String) -> String {
+        self.note_restarts();
+        if self.quarantined.is_none() {
             rtec_obs::error(
                 "session.quarantined",
                 &[
                     ("session", self.name.as_str().into()),
                     ("shard", shard.into()),
                     ("restarts", self.stats.worker_restarts.into()),
+                    ("reason", reason.as_str().into()),
                 ],
             );
-            return Err(format!("session quarantined: {reason}"));
+            self.quarantined = Some(reason);
         }
-        self.stats.worker_restarts += 1;
-        crate::obs::metrics().worker_restarts.inc();
-        // Brief bounded backoff: give a transient cause (allocator
-        // pressure, scheduler hiccups) room to clear before the retry.
-        // The seeded jitter decorrelates respawn storms across sessions
-        // and shards without any RNG state: the same (session, shard,
-        // restart) triple always backs off by the same amount, so fault
-        // schedules stay reproducible.
-        let base = 2 * self.stats.worker_restarts.min(5);
-        let jitter = respawn_jitter_ms(&self.name, shard, self.stats.worker_restarts);
-        std::thread::sleep(Duration::from_millis(base + jitter));
-        let worker = self.spawn_worker(shard);
-        let state = &self.shard_states[shard];
-        for batch in state.replay[..state.sent].chunks(INPUT_BATCH) {
-            if worker.send(WorkerMsg::Input(batch.to_vec())).is_err() {
-                // The replacement died too (e.g. its checkpoint failed
-                // to restore). Install it anyway; the next attempt will
-                // charge the budget again and eventually quarantine.
-                self.workers[shard] = worker;
-                return Err("shard worker exited during replay".to_string());
-            }
+        self.check_live().unwrap_err()
+    }
+
+    /// Catches the session's counters up with restarts its workers made
+    /// since the last look. A restart promotes the flight recorder's
+    /// ring, so the ticks leading up to the crash survive as evidence.
+    fn note_restarts(&mut self) {
+        let used = self.restarts.load(Ordering::SeqCst);
+        if used <= self.stats.worker_restarts {
+            return;
         }
-        self.workers[shard] = worker;
-        // The restored engine is behind the session's tick frontier
-        // until it re-evaluates the replayed window(s); catch it up so
-        // snapshots taken right after a restart are never stale. If the
-        // replacement dies during catch-up the next operation detects
-        // it and charges the budget again.
-        if self.stats.processed_to >= 0 {
-            let (tx, rx) = bounded(1);
-            if self.workers[shard]
-                .send(WorkerMsg::RunTo(self.stats.processed_to, tx))
-                .is_ok()
-            {
-                let _ = self.workers[shard].recv_reply(&rx);
-            }
-        }
-        rtec_obs::warn(
-            "session.worker_restarted",
-            &[
-                ("session", self.name.as_str().into()),
-                ("shard", shard.into()),
-                ("restarts", self.stats.worker_restarts.into()),
-                ("replayed", self.shard_states[shard].sent.into()),
-            ],
-        );
-        // Post-mortem context: what was the session doing in the ticks
-        // leading up to the crash? The whole ring is promoted so the
-        // evidence survives the respawn.
+        self.stats.worker_restarts = used;
         if self.config.profile {
             let dump = self.flight.dump_ring(&self.name, "worker_respawn");
             rtec_obs::warn(
@@ -861,23 +782,9 @@ impl Session {
                 &[
                     ("session", self.name.as_str().into()),
                     ("reason", "worker_respawn".into()),
-                    ("shard", shard.into()),
                     ("dump", dump.as_str().into()),
                 ],
             );
-        }
-        Ok(())
-    }
-
-    /// Drives one shard to `to`, recovering from worker death.
-    fn run_shard_to(&mut self, shard: usize, to: Timepoint) -> Result<EngineStats, String> {
-        loop {
-            let (tx, rx) = bounded(1);
-            self.send_control(shard, WorkerMsg::RunTo(to, tx))?;
-            match self.workers[shard].recv_reply(&rx) {
-                Ok(stats) => return Ok(stats),
-                Err(_) => self.respawn_shard(shard)?,
-            }
         }
     }
 
@@ -910,17 +817,16 @@ impl Session {
             self.send_control(shard, WorkerMsg::RunTo(to, tx))?;
             replies.push(rx);
         }
+        let mut ran = Vec::with_capacity(replies.len());
+        for (shard, rx) in replies.iter().enumerate() {
+            ran.push(self.reply(shard, rx)?);
+        }
+        self.note_restarts();
+        // Checkpoints are replaced only once every shard has answered,
+        // so the session never holds a mix of two ticks.
         let mut total = EngineStats::default();
-        for (shard, rx) in replies.into_iter().enumerate() {
-            let stats = match self.workers[shard].recv_reply(&rx) {
-                Ok(stats) => stats,
-                Err(_) => {
-                    // The worker died mid-evaluation; restore from the
-                    // last checkpoint and re-evaluate deterministically.
-                    self.respawn_shard(shard)?;
-                    self.run_shard_to(shard, to)?
-                }
-            };
+        for (shard, (stats, checkpoint)) in ran.into_iter().enumerate() {
+            self.checkpoints[shard] = Some(checkpoint);
             // Every shard evaluates the same window sequence, so the
             // logical window count is the max, not the sum.
             total.windows = total.windows.max(stats.windows);
@@ -930,7 +836,6 @@ impl Session {
         self.stats.engine = total;
         self.stats.ticks += 1;
         self.stats.processed_to = self.stats.processed_to.max(to);
-        self.refresh_checkpoints();
         let elapsed = started.elapsed();
         self.stats.tick_latency.observe_duration(elapsed);
         let metrics = crate::obs::metrics();
@@ -1001,19 +906,19 @@ impl Session {
     /// totals, and records this tick's trace (the per-rule cost *delta*
     /// against the previous merge) into the flight recorder; a tick at
     /// or over [`SessionConfig::slow_tick_ms`] promotes the trace to a
-    /// retained JSON dump. Best-effort: a shard that died mid-collection
+    /// retained JSON dump. Best-effort: a shard that fails to answer
     /// simply contributes nothing this round.
     fn record_tick_trace(&mut self, to: Timepoint, elapsed: Duration, shed: u64, degraded: bool) {
         let mut merged = ProfileAggregate::new();
         let mut replies = Vec::with_capacity(self.workers.len());
-        for (shard, worker) in self.workers.iter().enumerate() {
+        for worker in &self.workers {
             let (tx, rx) = bounded(1);
             if worker.send(WorkerMsg::Profile(tx)).is_ok() {
-                replies.push((shard, rx));
+                replies.push(rx);
             }
         }
-        for (shard, rx) in replies {
-            if let Ok(agg) = self.workers[shard].recv_reply(&rx) {
+        for rx in replies {
+            if let Ok(agg) = recv_reply(&rx) {
                 merged.merge(&agg);
             }
         }
@@ -1050,37 +955,6 @@ impl Session {
         }
     }
 
-    /// Takes a fresh checkpoint of every shard and clears the replay
-    /// logs. Best-effort: a shard that fails keeps its previous
-    /// checkpoint *and* replay log, which together still reproduce its
-    /// state. Runs right after the tick's `RunTo`, which flushed every
-    /// outbox, so each log is wholly sent.
-    fn refresh_checkpoints(&mut self) {
-        for shard in 0..self.workers.len() {
-            let (tx, rx) = bounded(1);
-            if self.workers[shard].send(WorkerMsg::Checkpoint(tx)).is_err() {
-                continue;
-            }
-            match self.workers[shard].recv_reply(&rx) {
-                Ok(cp) => {
-                    let state = &mut self.shard_states[shard];
-                    state.checkpoint = Some(*cp);
-                    state.replay.clear();
-                    state.sent = 0;
-                }
-                Err(_) => {
-                    rtec_obs::warn(
-                        "session.checkpoint_skipped",
-                        &[
-                            ("session", self.name.as_str().into()),
-                            ("shard", shard.into()),
-                        ],
-                    );
-                }
-            }
-        }
-    }
-
     /// Snapshots and merges every shard's output. The returned symbol
     /// table renders the merged output's terms.
     pub fn query(&mut self) -> Result<(RecognitionOutput, SymbolTable), String> {
@@ -1092,18 +966,11 @@ impl Session {
             replies.push(rx);
         }
         let mut merged = RecognitionOutput::default();
-        for (shard, rx) in replies.into_iter().enumerate() {
-            let out = match self.workers[shard].recv_reply(&rx) {
-                Ok((out, _)) => out,
-                Err(_) => {
-                    self.respawn_shard(shard)?;
-                    let (tx, rx) = bounded(1);
-                    self.send_control(shard, WorkerMsg::Snapshot(tx))?;
-                    self.workers[shard].recv_reply(&rx).map(|(out, _)| out)?
-                }
-            };
+        for (shard, rx) in replies.iter().enumerate() {
+            let (out, _) = self.reply(shard, rx)?;
             merged.absorb(out);
         }
+        self.note_restarts();
         if self.router.late_couplings > 0 {
             merged.warnings.push(format!(
                 "{} coupling(s) arrived after shard pinning; results for the affected \
@@ -1195,7 +1062,7 @@ impl Session {
         self.config.profile.then_some(&self.profile_agg)
     }
 
-    /// Retained flight-recorder dumps (slow ticks, worker respawns),
+    /// Retained flight-recorder dumps (slow ticks, worker restarts),
     /// oldest first.
     pub fn flight_dumps(&self) -> &[String] {
         self.flight.dumps()
@@ -1244,7 +1111,7 @@ impl Session {
             }
         }
         let mut total = EngineStats::default();
-        for (shard, worker) in self.workers.into_iter().enumerate() {
+        for (shard, worker) in std::mem::take(&mut self.workers).into_iter().enumerate() {
             match worker.drain() {
                 Ok(stats) => {
                     total.windows = total.windows.max(stats.windows);
@@ -1262,6 +1129,7 @@ impl Session {
             }
         }
         self.stats.engine = total;
+        self.note_restarts();
         crate::obs::metrics().sessions_closed.inc();
         rtec_obs::info(
             "session.close",
@@ -1277,26 +1145,6 @@ impl Session {
         );
         Ok(self.stats)
     }
-}
-
-/// Deterministic respawn-backoff jitter in milliseconds: an FNV-1a hash
-/// of the session name mixed with the shard and restart count, pushed
-/// through the SplitMix64 finalizer and reduced to `0..=3·restarts`
-/// (capped at 15 ms). A pure function of its inputs — no RNG state —
-/// so concurrent respawns across sessions and shards fan out instead
-/// of thundering in lockstep, while seeded chaos schedules stay
-/// byte-for-byte reproducible.
-fn respawn_jitter_ms(session: &str, shard: usize, restarts: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in session.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^= (shard as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    h ^= restarts.rotate_left(32);
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    h % (3 * restarts.min(5) + 1)
 }
 
 fn engine_config_for(config: &SessionConfig) -> Result<EngineConfig, String> {
@@ -1343,25 +1191,6 @@ mod tests {
             .collect();
         rows.sort();
         rows
-    }
-
-    #[test]
-    fn respawn_jitter_is_deterministic_and_bounded() {
-        for restarts in 0..10u64 {
-            for shard in 0..4usize {
-                let a = respawn_jitter_ms("sess", shard, restarts);
-                let b = respawn_jitter_ms("sess", shard, restarts);
-                assert_eq!(a, b, "same inputs must give the same jitter");
-                assert!(a <= 3 * restarts.min(5), "jitter {a} out of bounds");
-            }
-        }
-        // Distinct shards decorrelate: not every shard gets the same
-        // delay at the same restart count.
-        let delays: Vec<u64> = (0..8).map(|s| respawn_jitter_ms("sess", s, 5)).collect();
-        assert!(
-            delays.iter().any(|d| *d != delays[0]),
-            "jitter failed to spread across shards: {delays:?}"
-        );
     }
 
     #[test]

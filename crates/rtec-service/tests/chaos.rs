@@ -6,8 +6,9 @@
 //! rejected frames once) or quarantine the session with structured
 //! errors — it must never panic and never return a malformed reply.
 //!
-//! The CI `chaos` job sweeps fixed seeds via `RTEC_CHAOS_SEED`, plus
-//! one random seed whose value is logged so failures reproduce.
+//! Without `RTEC_CHAOS_SEED` the test sweeps seeds 1..=8; with it, it
+//! runs that one seed. The CI `chaos-random` job sets a random seed and
+//! logs its value so failures reproduce.
 
 use rtec_service::{FaultPlan, Registry};
 use serde_json::Value;

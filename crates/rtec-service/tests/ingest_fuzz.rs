@@ -6,8 +6,8 @@
 //! structured `overloaded` errors under a 10× budget flood without ever
 //! wedging the session.
 //!
-//! The CI `ingest-fuzz` job sweeps fixed seeds via `RTEC_INGEST_SEED`;
-//! locally the test sweeps 101..=104.
+//! Without `RTEC_INGEST_SEED` the test sweeps seeds 101..=104; with it,
+//! it runs that one seed.
 
 use rtec_service::Registry;
 use serde_json::Value;

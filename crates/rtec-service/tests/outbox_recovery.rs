@@ -1,9 +1,9 @@
-//! Crash recovery with batched hand-off: a shard's inputs wait in its
-//! outbox (the unsent tail of its replay log) and reach the worker in
-//! batches. A worker that panics inside a batch is respawned from its
-//! checkpoint with only the batches it had received; what was still in
-//! any outbox goes out afterwards. No item may be lost or applied
-//! twice.
+//! Crash recovery with batched hand-off: a shard's inputs wait in the
+//! session's outbox and reach the worker in batches. A worker that
+//! panics inside a batch recovers in place: it restores its last
+//! checkpoint and replays the batches it had logged since, the
+//! panicking one included; what was still in any outbox goes out
+//! afterwards. No item may be lost or applied twice.
 
 use rtec::{Engine, EngineConfig};
 use rtec_service::{FaultPlan, Faults, Session, SessionConfig};
@@ -34,13 +34,12 @@ fn rows(out: &rtec::engine::RecognitionOutput, symbols: &rtec::SymbolTable) -> V
 fn panic_inside_a_batch_loses_and_duplicates_nothing() {
     let horizon = 200;
     // `a` is discovered first, so the first tick pins it to shard 0 and
-    // `b` to shard 1. After that tick shard 0 has taken four steps: its
-    // one-item batch, RunTo, Checkpoint and Profile. Then 30 events of
-    // `b` wait in shard 1's outbox while 128 events of `a` go to shard 0
-    // as two batches of 64 (steps 5-68 and 69-132). The panic at step
-    // 100 lands inside the second batch. The session learns of it only
-    // when it next sends to shard 0: the tick's hand-off of 22 more
-    // events of `a`, still in the outbox when the worker is respawned.
+    // `b` to shard 1. After that tick shard 0 has taken three steps: its
+    // one-item batch, RunTo and Profile. Then 30 events of `b` wait in
+    // shard 1's outbox while 128 events of `a` go to shard 0 as two
+    // batches of 64 (steps 4-67 and 68-131). The panic at step 100
+    // lands inside the second batch, and the worker recovers while 22
+    // more events of `a` still wait in the outbox for the next tick.
     let first = vec![(1, "up(a)".to_string()), (2, "up(b)".to_string())];
     let batched: Vec<(i64, String)> = toggles("b", 10, 30)
         .into_iter()

@@ -1,7 +1,7 @@
 //! Engine state snapshots: serialize the retained window state of an
-//! [`Engine`](crate::engine::Engine) so a supervisor can respawn a
-//! crashed worker and resume recognition from the last window boundary
-//! with byte-identical output.
+//! [`Engine`](crate::engine::Engine) so a crashed worker can be rebuilt
+//! and resume recognition from the last window boundary with
+//! byte-identical output.
 //!
 //! # What is captured
 //!

@@ -40,15 +40,10 @@ use crate::eval::simple::InertiaState;
 use crate::eval::WarningSink;
 use crate::interval::{IntervalList, Timepoint, INF};
 use crate::plan::Window;
-use crate::reorder::{DeadLetterLedger, DeadLetterReason};
 use crate::symbol::SymbolTable;
 use crate::term::{translate, GroundFvp, Term};
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// Recent refused-event records retained per engine (counts are exact
-/// regardless; see [`Engine::dead_letters`]).
-const ENGINE_DEAD_LETTER_CAP: usize = 256;
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
@@ -305,10 +300,6 @@ pub struct Engine<'a> {
     output: RecognitionOutput,
     warnings: WarningSink,
     stats: EngineStats,
-    /// Reason-coded audit trail of events refused at the engine
-    /// boundary (process-local: not part of a checkpoint; the refusal
-    /// *count* persists via [`EngineStats::events_dropped`]).
-    dead_letters: DeadLetterLedger,
     /// Stale refusals since the last `run_to` warning flush.
     stale_rejected: usize,
     /// Per-rule cost attribution; `None` (the default) disables
@@ -343,7 +334,6 @@ impl<'a> Engine<'a> {
             output: RecognitionOutput::default(),
             warnings: WarningSink::new(),
             stats: EngineStats::default(),
-            dead_letters: DeadLetterLedger::new(ENGINE_DEAD_LETTER_CAP),
             stale_rejected: 0,
             profiler: None,
             sliding,
@@ -410,14 +400,14 @@ impl<'a> Engine<'a> {
     /// **Boundary contract**: the engine forgets everything at or
     /// before its processed frontier ([`Engine::processed_to`]), so an
     /// event with `t <= processed_to()` cannot be incorporated — it is
-    /// rejected here, counted in [`EngineStats::events_dropped`],
-    /// recorded in the [`Engine::dead_letters`] ledger with reason
-    /// [`DeadLetterReason::PastHorizon`], and reported via a
-    /// `"... dropped"` warning on the next [`Engine::run_to`]. It never
-    /// reaches the pending queue, so it cannot corrupt inertial state.
+    /// rejected here, counted in [`EngineStats::events_dropped`], and
+    /// reported via an aggregated `"... dropped"` warning on the next
+    /// [`Engine::run_to`]. It never reaches the pending queue, so it
+    /// cannot corrupt inertial state.
     pub fn add_event(&mut self, event: Term, t: Timepoint) {
         if t <= self.forget_frontier() {
-            self.reject_stale(t);
+            self.stats.events_dropped += 1;
+            self.stale_rejected += 1;
             return;
         }
         self.pending.push((event, t));
@@ -435,18 +425,6 @@ impl<'a> Engine<'a> {
             .unwrap_or(self.processed_to)
     }
 
-    /// Routes one stale event to the dead-letter ledger.
-    fn reject_stale(&mut self, t: Timepoint) {
-        let frontier = self.forget_frontier();
-        self.dead_letters.record(
-            DeadLetterReason::PastHorizon,
-            Some(t),
-            format!("event at t={t} is at or before the processed frontier ({frontier})"),
-        );
-        self.stats.events_dropped += 1;
-        self.stale_rejected += 1;
-    }
-
     /// Queues many input events (each subject to the
     /// [`Engine::add_event`] boundary contract).
     pub fn add_events(&mut self, events: impl IntoIterator<Item = (Term, Timepoint)>) {
@@ -461,14 +439,6 @@ impl<'a> Engine<'a> {
     pub fn add_event_from(&mut self, event: &Term, from: &SymbolTable, t: Timepoint) {
         let ev = translate(event, from, &mut self.symbols);
         self.add_event(ev, t);
-    }
-
-    /// The engine's dead-letter ledger: every event refused at the
-    /// boundary, reason-coded. Process-local audit state — not part of
-    /// an [`EngineCheckpoint`] (the refusal count persists through
-    /// [`EngineStats::events_dropped`]).
-    pub fn dead_letters(&self) -> &DeadLetterLedger {
-        &self.dead_letters
     }
 
     /// Registers the interval list of an input fluent (computed outside the
@@ -523,13 +493,7 @@ impl<'a> Engine<'a> {
             .take_while(|(_, t)| *t <= frontier)
             .count();
         if drained > 0 {
-            for (_, t) in self.pending.drain(..drained) {
-                self.dead_letters.record(
-                    DeadLetterReason::PastHorizon,
-                    Some(t),
-                    format!("event at t={t} is at or before the processed frontier ({frontier})"),
-                );
-            }
+            self.pending.drain(..drained);
             self.stats.events_dropped += drained;
         }
         // One aggregated warning covers both rejection paths, so the
@@ -706,7 +670,6 @@ impl<'a> Engine<'a> {
             output: RecognitionOutput::default(),
             warnings,
             stats: checkpoint.stats,
-            dead_letters: DeadLetterLedger::new(ENGINE_DEAD_LETTER_CAP),
             stale_rejected: 0,
             profiler: None,
             sliding,

@@ -41,10 +41,9 @@ impl InputStream {
     /// already evaluated. Ordering is enforced at the engine boundary
     /// instead: [`Engine::add_event`] (which [`InputStream::load_into`]
     /// calls per event) rejects events at or before its processed
-    /// frontier to the engine's reason-coded dead-letter ledger
-    /// ([`Engine::dead_letters`]), counts them in
-    /// `EngineStats::events_dropped`, and surfaces a `"... dropped"`
-    /// warning — they are never silently absorbed into inertial state.
+    /// frontier, counts them in `EngineStats::events_dropped`, and
+    /// surfaces an aggregated `"... dropped"` warning — they are never
+    /// silently absorbed into inertial state.
     /// For out-of-order *tolerant* ingestion, feed events through
     /// [`crate::reorder::ReorderBuffer`] first.
     pub fn push_event(&mut self, event: Term, t: Timepoint) {

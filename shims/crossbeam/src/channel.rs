@@ -5,7 +5,9 @@
 //!
 //! Implementation: a `VecDeque` under a mutex with two condvars (readers
 //! wait on `not_empty`, writers on `not_full`). Disconnection is tracked
-//! with sender/receiver reference counts.
+//! with sender/receiver reference counts. As in `crossbeam-channel`,
+//! dropping the last receiver drops every message still queued, so
+//! whatever those messages own (a reply `Sender`, say) is released.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -240,8 +242,12 @@ impl<T> Drop for Receiver<T> {
         let mut state = self.0.state.lock().unwrap();
         state.receivers -= 1;
         if state.receivers == 0 {
+            // Nobody can receive these any more; drop them outside the
+            // lock, since a message's destructor may touch other channels.
+            let undelivered = std::mem::take(&mut state.queue);
             drop(state);
             self.0.not_full.notify_all();
+            drop(undelivered);
         }
     }
 }
@@ -271,6 +277,26 @@ mod tests {
         let (tx, rx) = bounded(1);
         drop(rx);
         assert_eq!(tx.send(9), Err(SendError(9)));
+    }
+
+    #[test]
+    fn dropping_the_last_receiver_drops_queued_messages() {
+        let (reply_tx, reply_rx) = bounded::<i32>(1);
+        let (tx, rx) = bounded(2);
+        assert!(tx.send(reply_tx).is_ok());
+        let extra = rx.clone();
+        drop(rx);
+        assert_eq!(
+            reply_rx.try_recv(),
+            Err(TryRecvError::Empty),
+            "one receiver is left"
+        );
+        drop(extra);
+        assert_eq!(
+            reply_rx.recv(),
+            Err(RecvError),
+            "the queued sender was dropped"
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Crash-equivalence: a [`FaultPlan`] kills a shard worker mid-stream;
-//! the session supervisor respawns the worker from its last in-memory
-//! checkpoint, replays the un-checkpointed items, and the final output
-//! is byte-identical to an uninterrupted batch engine run.
+//! Crash-equivalence: a [`FaultPlan`] panics a shard worker mid-stream;
+//! the worker recovers in place from the in-memory checkpoint it took
+//! at its last `RunTo` (a fresh engine before the first), replays the
+//! input batches it logged since, and the final output is
+//! byte-identical to an uninterrupted batch engine run.
 //!
 //! Every test opens its session with its own [`Faults`] handle, so the
 //! seeded schedules stay deterministic while the tests run in parallel:
